@@ -19,11 +19,11 @@ from repro.analysis.sweeps import (
 )
 from repro.analysis.crossover import find_crossover, scheme_crossover_k
 from repro.analysis.advisor import Recommendation, recommend_scheme
-from repro.analysis.governor import OperatingPoint, pareto_frontier, plan_operating_point
+from repro.analysis.governor import DesignPoint, pareto_frontier, plan_operating_point
 from repro.analysis.study import ConsolidationStudy, SchemeAssessment, run_study
 
 __all__ = [
-    "OperatingPoint",
+    "DesignPoint",
     "pareto_frontier",
     "plan_operating_point",
     "ConsolidationStudy",

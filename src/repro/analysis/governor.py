@@ -4,7 +4,7 @@ The paper's Section VI-B conclusion — "low power FPGAs are suitable in
 environments where throughput is not the major concern" — implies a
 selection problem: given a demand, pick the speed grade, scheme and
 operating frequency that satisfy it at the least power.  The governor
-solves that by sweeping the feasible operating points and also exposes
+solves that by sweeping the feasible design points and also exposes
 the underlying power/throughput Pareto frontier.
 """
 
@@ -22,12 +22,16 @@ from repro.fpga.speedgrade import SpeedGrade
 from repro.units import w_to_mw
 from repro.virt.schemes import Scheme
 
-__all__ = ["OperatingPoint", "plan_operating_point", "pareto_frontier"]
+__all__ = ["DesignPoint", "plan_operating_point", "pareto_frontier"]
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    """One feasible (scheme, grade, frequency) choice and its cost."""
+class DesignPoint:
+    """One feasible (scheme, grade, frequency) choice and its cost.
+
+    A design-time choice; the DVS voltage point a running tier is
+    re-clocked to is :class:`repro.fpga.dvs.OperatingPoint`.
+    """
 
     scheme: Scheme
     grade: SpeedGrade
@@ -38,7 +42,7 @@ class OperatingPoint:
 
     @property
     def mw_per_gbps(self) -> float:
-        """Efficiency of this operating point."""
+        """Efficiency of this design point."""
         return w_to_mw(self.total_power_w) / self.capacity_gbps
 
     def describe(self) -> str:
@@ -59,9 +63,9 @@ def _candidate_points(
     alpha: float,
     schemes,
     frequency_steps: int,
-) -> list[OperatingPoint]:
+) -> list[DesignPoint]:
     estimator = ScenarioEstimator()
-    points: list[OperatingPoint] = []
+    points: list[DesignPoint] = []
     for scheme in schemes:
         a = alpha if scheme is Scheme.VM else None
         for grade in SpeedGrade:
@@ -79,7 +83,7 @@ def _candidate_points(
                     else estimator.evaluate(replace(base, frequency_mhz=f))
                 )
                 points.append(
-                    OperatingPoint(
+                    DesignPoint(
                         scheme=scheme,
                         grade=grade,
                         alpha=a,
@@ -98,7 +102,7 @@ def plan_operating_point(
     alpha: float = 0.8,
     schemes: Sequence[Scheme] = (Scheme.VS, Scheme.VM),
     frequency_steps: int = 8,
-) -> OperatingPoint:
+) -> DesignPoint:
     """Cheapest operating point meeting an aggregate demand.
 
     Parameters
@@ -138,7 +142,7 @@ def pareto_frontier(
     alpha: float = 0.8,
     schemes: Sequence[Scheme] = (Scheme.VS, Scheme.VM),
     frequency_steps: int = 8,
-) -> list[OperatingPoint]:
+) -> list[DesignPoint]:
     """Power/throughput Pareto frontier over the candidate space.
 
     Returns points sorted by capacity where no other point has both
@@ -146,7 +150,7 @@ def pareto_frontier(
     """
     points = _candidate_points(k, alpha, schemes, frequency_steps)
     points.sort(key=lambda p: (p.capacity_gbps, p.total_power_w))
-    frontier: list[OperatingPoint] = []
+    frontier: list[DesignPoint] = []
     best_power = float("inf")
     for point in reversed(points):  # descending capacity
         if point.total_power_w < best_power - 1e-12:

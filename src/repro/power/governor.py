@@ -60,6 +60,7 @@ from repro.fpga.dvs import (
 )
 from repro.obs.registry import MetricsRegistry, default_registry
 from repro.obs.tracing import Tracer, default_tracer
+from repro.virt.schemes import Scheme
 
 if TYPE_CHECKING:  # serve imports stay type-only: serve already hooks us
     from repro.serve.service import ServeTrace
@@ -70,7 +71,7 @@ __all__ = ["GovernorPolicy", "GovernorDecision", "DvsGovernor"]
 class GovernedService(Protocol):
     """What the governor needs from a serving tier (either class)."""
 
-    scheme: object
+    scheme: Scheme
     offered_load_fraction: float
     frequency_mhz: float
     power_sampler: object
@@ -78,6 +79,11 @@ class GovernedService(Protocol):
     @property
     def operating_point(self) -> OperatingPoint:
         """The DVS operating point currently in force."""
+        ...
+
+    @property
+    def n_engines(self) -> int:
+        """Engines the tier walks on."""
         ...
 
     def apply_operating_point(self, point: OperatingPoint) -> None:
@@ -236,7 +242,7 @@ class DvsGovernor:
         batch only calibrates the workload's intrinsic activity.
         """
         registry = self._registry_for(service)
-        scheme = service.scheme.name  # type: ignore[attr-defined]
+        scheme = service.scheme.name
         duty = self._read_gauge(registry, "repro_serve_duty_cycle", scheme)
         if duty is None:
             duty = trace.mean_duty_cycle()
@@ -308,8 +314,7 @@ class DvsGovernor:
         rate_mhz = service.frequency_mhz * service.offered_load_fraction * served
         if rate_mhz <= 0.0:
             return None
-        n_engines = getattr(service, "n_engines", 1)
-        return energy_per_packet_nj(sample.total_w, rate_mhz, n_engines)
+        return energy_per_packet_nj(sample.total_w, rate_mhz, service.n_engines)
 
     def baseline_energy_nj(
         self, service: GovernedService, trace: "ServeTrace"
@@ -334,8 +339,7 @@ class DvsGovernor:
         rate_mhz = service.frequency_mhz * service.offered_load_fraction * served
         if rate_mhz <= 0.0:
             return None
-        n_engines = getattr(service, "n_engines", 1)
-        return energy_per_packet_nj(nominal_w, rate_mhz, n_engines)
+        return energy_per_packet_nj(nominal_w, rate_mhz, service.n_engines)
 
     def _publish(
         self,
@@ -347,7 +351,7 @@ class DvsGovernor:
     ) -> None:
         if not registry.enabled:
             return
-        scheme = service.scheme.name  # type: ignore[attr-defined]
+        scheme = service.scheme.name
         point = service.operating_point
         registry.gauge(
             "repro_governor_volts",
@@ -386,12 +390,13 @@ class DvsGovernor:
             )
             energy.labels(scheme, "governed").set(realized)
             energy.labels(scheme, "static_nominal").set(baseline)
-        self._publish_shard_view(service, registry, scheme)
+        self._publish_shard_view(service, registry, trace, scheme)
 
     def _publish_shard_view(
         self,
         service: GovernedService,
         registry: MetricsRegistry,
+        trace: "ServeTrace",
         scheme: str,
     ) -> None:
         """The power-aware placement view across shards.
@@ -402,8 +407,8 @@ class DvsGovernor:
         implied voltage sits far below the rail is a consolidation
         candidate.
         """
-        reports = getattr(service, "admission_reports", None)
-        if not reports:
+        bounds = getattr(service, "bounds", None)
+        if bounds is None or not trace.vn_counts or not trace.n_packets:
             return
         gauge = registry.gauge(
             "repro_governor_shard_volts",
@@ -412,10 +417,15 @@ class DvsGovernor:
         )
         lo = frequency_scale(self.policy.v_min)
         hi = frequency_scale(self.policy.v_max)
-        for shard_id, report in sorted(reports.items()):
-            if report.capacity_gbps <= 0.0:
-                continue
-            share = float(sum(report.demands_gbps)) / report.capacity_gbps
+        # the tier's offered load against the base clock, the same
+        # re-clocking-invariant footing as the demand estimate
+        offered = (
+            service.offered_load_fraction * service.operating_point.frequency_scale
+        )
+        for shard_id, (vn_lo, vn_hi) in enumerate(zip(bounds, bounds[1:])):
+            admitted = sum(trace.vn_counts[vn_lo:vn_hi]) / trace.n_packets
+            engines = service.scheme.engines_required(vn_hi - vn_lo)
+            share = admitted * offered * service.n_engines / engines
             scale = min(max(share / self.policy.headroom, lo), hi)
             gauge.labels(scheme, shard_id).set(
                 voltage_for_frequency_scale(scale)

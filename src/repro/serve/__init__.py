@@ -7,11 +7,11 @@ validate → admit → partition → walk → scatter → account):
   ``(addresses, vnids)`` batches and routes them through the
   deployment scheme's engines (distributor → per-VN pipelines for
   NV/VS, the merged engine for VM) in-process.
-* :class:`ShardedLookupService` — the service tier: the same stages
-  behind an asyncio front end, with the walk fanned out across
-  shared-nothing shard worker processes (:mod:`repro.serve.shard`),
-  per-VN qos admission, bounded-queue backpressure, and shard-labeled
-  metric scrape-merge.  See ``docs/SERVING.md``.
+* :class:`ShardedLookupService` — the service tier: one
+  ``LookupService`` per shared-nothing shard worker process
+  (:mod:`repro.serve.shard`) behind an asyncio front end that adds
+  only fan-out, bounded-queue backpressure, reassembly and
+  shard-labeled metric scrape-merge.  See ``docs/SERVING.md``.
 
 Every serve returns the results plus a :class:`ServeTrace` carrying
 per-stage activity and a queueing-latency estimate, so throughput,

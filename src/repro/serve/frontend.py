@@ -1,11 +1,13 @@
-"""Sharded asyncio serving tier: admission, backpressure, fan-out, merge.
+"""Sharded asyncio serving tier: fan-out, backpressure, reassembly.
 
-This is the "millions of users" face of the serving stack: the same
-stage pipeline as :class:`~repro.serve.service.LookupService`
-(validate → admit → partition → walk → scatter → account), with the
-walk fanned out across **shard worker processes**
-(:mod:`repro.serve.shard`) behind an asyncio front end.  One batch
-flows as:
+This is the "millions of users" face of the serving stack.  The serve
+core is :class:`~repro.serve.service.LookupService`, hosted once per
+**shard worker process** (:mod:`repro.serve.shard`); this front end
+only splits each batch across the shards and puts it back together.
+The control plane (operating point, offered load, capacity, the
+publish tail, the oracle check) is the same
+:class:`~repro.serve.service.TierControl` the synchronous tier uses.
+One batch flows as:
 
 1. **validate** — :func:`repro.serve.stages.validate_batch`, same
    strict typed rejection as the library call;
@@ -13,19 +15,18 @@ flows as:
    :meth:`~repro.virt.distributor.Distributor.partition`; because
    every shard owns a *contiguous VN range* and the partition sorts
    by VNID, each shard's sub-batch is one contiguous slice of the
-   sorted batch — zero extra copies before the pipe;
-3. **admit** — per-VN admission via
-   :func:`repro.virt.qos.check_admission` against each shard's
-   fault-degraded capacity (head-of-slice shedding, exactly the
-   single-process discipline), then **backpressure**: each shard has
-   a bounded dispatch queue
+   sorted batch — no per-VN loop, no concatenation;
+3. **backpressure** — each shard has a bounded dispatch queue
    (:attr:`~repro.faults.DegradationPolicy.max_queue_batches`); a
    full queue sheds the whole sub-batch with
    :data:`~repro.faults.SHED_RESULT` instead of queueing without
-   bound;
-4. **walk** — shards answer concurrently in their own processes (the
-   pipe round-trip runs in the default executor so the event loop
-   never blocks on a worker);
+   bound.  The front end makes no other admission decision:
+4. **admit and walk** — each shard's ``LookupService`` admits per
+   engine under its scoped fault plan
+   (:func:`repro.serve.stages.plan_admission`, exactly the
+   single-process policy) and walks, concurrently in its own process
+   (the pipe round-trip runs in the default executor so the event
+   loop never blocks on a worker);
 5. **scatter / account** — results scatter back to arrival order and
    the shard traces reassemble into one *global-shaped*
    :class:`~repro.serve.service.ServeTrace`, so the frontend's single
@@ -56,17 +57,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.metrics import throughput_gbps
-from repro.errors import ConfigurationError, MalformedBatchError, ShardError
+from repro.errors import ConfigurationError, ShardError
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import SHED_RESULT, DegradationPolicy
-from repro.fpga.dvs import NOMINAL_POINT, OperatingPoint
+from repro.fpga.dvs import OperatingPoint
 from repro.iplookup.pipeline import PipelineTrace, trace_from_walk
 from repro.iplookup.rib import RoutingTable
-from repro.obs.registry import MetricsRegistry, default_registry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import RegistrySnapshot, merge_snapshots, snapshot_registry
-from repro.obs.tracing import Tracer, default_tracer
-from repro.serve.service import ServeTrace, effective_load_fraction
+from repro.obs.tracing import Tracer
+from repro.serve.service import ServeTrace, TierControl
 from repro.serve.shard import (
     ShardBatchRequest,
     ShardBatchResult,
@@ -74,15 +74,13 @@ from repro.serve.shard import (
     ShardRuntime,
     shard_worker,
 )
-from repro.serve.stages import admit_count, validate_batch
+from repro.serve.stages import validate_batch
 from repro.virt.distributor import Distributor
-from repro.virt.qos import AdmissionReport, check_admission
 from repro.virt.queueing import LatencyReport, QueueValidation
 from repro.virt.schemes import Scheme
 
-if TYPE_CHECKING:  # the sampler/governor pull in the experiment stack
+if TYPE_CHECKING:  # the sampler pulls in the experiment stack
     from repro.obs.power import PowerTelemetrySampler
-    from repro.power.governor import DvsGovernor
 
 __all__ = ["ShardedLookupService", "shard_vn_bounds"]
 
@@ -194,7 +192,7 @@ class _ShardHandle:
             self.process = None
 
 
-class ShardedLookupService:
+class ShardedLookupService(TierControl):
     """Asyncio front end over shard worker processes.
 
     The async twin of :class:`~repro.serve.service.LookupService`:
@@ -251,45 +249,26 @@ class ShardedLookupService:
         transport: str = "process",
         metrics: bool = True,
     ):
-        if not tables:
-            raise ConfigurationError("need at least one routing table")
         if transport not in ("process", "inline"):
             raise ConfigurationError(
                 f"transport must be 'process' or 'inline', got {transport!r}"
             )
-        if frequency_mhz <= 0:
-            raise ConfigurationError("frequency_mhz must be positive")
-        if not 0.0 <= offered_load_fraction < 1.0:
-            raise ConfigurationError(
-                "offered_load_fraction must be in [0, 1) for a stable queue"
-            )
-        self.k = len(tables)
-        self.scheme = scheme
-        if n_stages is None:
-            # auto-depth, resolved *before* the shard configs so every
-            # shard builds the same pipeline depth: a unibit trie is
-            # exactly as deep as its longest prefix, so the deepest
-            # table fixes the fleet-wide stage count (real RIB
-            # snapshots carry /32s — deeper than the paper's 28)
-            n_stages = max(max(t.max_length() for t in tables), 1)
-        self.n_stages = n_stages
-        self.frequency_mhz = frequency_mhz
-        self.base_frequency_mhz = frequency_mhz
-        self.offered_load_fraction = offered_load_fraction
-        self._nominal_load_fraction = offered_load_fraction
-        self._operating_point = NOMINAL_POINT
+        super().__init__(
+            tables,
+            scheme,
+            n_stages=n_stages,
+            frequency_mhz=frequency_mhz,
+            offered_load_fraction=offered_load_fraction,
+            fault_plan=fault_plan,
+            policy=policy,
+            registry=registry,
+            tracer=tracer,
+            power_sampler=power_sampler,
+        )
         self._pending_reconfig: tuple[OperatingPoint, float] | None = None
-        self._governor: "DvsGovernor | None" = None
-        self.fault_plan = fault_plan
-        self.policy = policy if policy is not None else DegradationPolicy()
-        self._registry = registry if registry is not None else default_registry()
-        self._tracer = tracer if tracer is not None else default_tracer()
-        self.power_sampler = power_sampler
         self.distributor = Distributor(k=self.k)
         self.bounds = shard_vn_bounds(self.k, n_shards)
-        self.batches_served = 0
         self.queue_validations: dict[int, QueueValidation] = {}
-        self.admission_reports: dict[int, AdmissionReport] = {}
         self._started = False
         self.shards: list[_ShardHandle] = []
         for shard_id in range(n_shards):
@@ -300,7 +279,7 @@ class ShardedLookupService:
                 vn_base=lo,
                 tables=tuple(tables[lo:hi]),
                 scheme=scheme,
-                n_stages=n_stages,
+                n_stages=self.n_stages,
                 frequency_mhz=frequency_mhz,
                 offered_load_fraction=offered_load_fraction,
                 fault_plan=plan,
@@ -330,39 +309,15 @@ class ShardedLookupService:
 
     # -- DVS operating point ----------------------------------------------
 
-    @property
-    def operating_point(self) -> OperatingPoint:
-        """The DVS operating point the tier currently runs at."""
-        return self._operating_point
+    def _on_reclock(self, point: OperatingPoint) -> None:
+        """Queue the device-wide rail decision for every shard.
 
-    def apply_operating_point(self, point: OperatingPoint) -> None:
-        """Re-clock the whole tier to a DVS operating point.
-
-        The voltage rail is device-wide, so one point re-clocks every
-        shard.  Frontend bookkeeping (capacity, admission demands,
-        power sampler) updates immediately; the shard broadcast rides
-        the dispatch queues at the *start of the next served batch* —
-        the pipe protocol is strict request/reply, and a decision made
-        while a batch is accounted must never interleave with it.
+        The broadcast rides the dispatch queues at the *start of the
+        next served batch*: the pipe protocol is strict request/reply,
+        and a decision made while a batch is accounted must never
+        interleave with it.
         """
-        scale = point.frequency_scale
-        self._operating_point = point
-        self.frequency_mhz = self.base_frequency_mhz * scale
-        self.offered_load_fraction = effective_load_fraction(
-            self._nominal_load_fraction, scale
-        )
         self._pending_reconfig = (point, self._nominal_load_fraction)
-        if self.power_sampler is not None:
-            self.power_sampler.set_operating_point(point)
-
-    def set_offered_load(self, fraction: float) -> None:
-        """Change the modeled offered load (fraction of *base* capacity)."""
-        if not 0.0 <= fraction < 1.0:
-            raise ConfigurationError(
-                "offered_load_fraction must be in [0, 1) for a stable queue"
-            )
-        self._nominal_load_fraction = fraction
-        self.apply_operating_point(self._operating_point)
 
     async def _flush_reconfig(self) -> None:
         """Broadcast a pending operating point to every shard runtime."""
@@ -390,10 +345,6 @@ class ShardedLookupService:
     def n_engines(self) -> int:
         """Engines across all shards (K for NV/VS, one merged per shard)."""
         return sum(handle.n_engines for handle in self.shards)
-
-    def capacity_gbps(self) -> float:
-        """Aggregate lookup capacity across every shard's engines."""
-        return throughput_gbps(self.frequency_mhz, self.n_engines)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -469,50 +420,6 @@ class ShardedLookupService:
                     future.set_result(payload)
             handle.queue.task_done()
 
-    # -- admission --------------------------------------------------------
-
-    def _shard_admission(
-        self,
-        handle: _ShardHandle,
-        offered: np.ndarray,
-        n_total: int,
-        batch_index: int,
-    ) -> np.ndarray:
-        """Per-VN admitted fractions for one shard's slice of the batch.
-
-        Interprets the batch's VN mix as the offered traffic at the
-        configured load fraction and runs
-        :func:`repro.virt.qos.check_admission` against the shard's
-        fault-degraded capacity.  An admissible shard admits
-        everything; an oversubscribed one admits each VN's head up to
-        the policy's shed-utilization bound of the remaining capacity;
-        an offline shard admits nothing.  The report lands in
-        :attr:`admission_reports` keyed by shard.
-        """
-        counts = offered[handle.vn_lo : handle.vn_hi].astype(float)
-        k_local = handle.k_local
-        if n_total == 0 or counts.sum() == 0:
-            return np.ones(k_local)
-        shares = counts / n_total
-        demands = shares * self.offered_load_fraction * self.capacity_gbps()
-        scales = np.ones(handle.n_engines)
-        if handle.config.fault_plan is not None:
-            scales = handle.config.fault_plan.context_at(
-                batch_index
-            ).capacity_scales(handle.n_engines)
-        effective = throughput_gbps(self.frequency_mhz, handle.n_engines) * float(
-            scales.mean()
-        )
-        if effective <= 0.0:
-            return np.zeros(k_local)
-        report = check_admission(effective, demands)
-        self.admission_reports[handle.config.shard_id] = report
-        if report.admissible:
-            return np.ones(k_local)
-        total_demand = float(sum(report.demands_gbps))
-        factor = self.policy.shed_utilization * effective / total_demand
-        return np.full(k_local, min(1.0, factor))
-
     # -- serving ----------------------------------------------------------
 
     async def serve(
@@ -522,53 +429,32 @@ class ShardedLookupService:
 
         Same contract as :meth:`LookupService.serve`, asynchronously:
         next hops in arrival order plus a global-shaped
-        :class:`ServeTrace`; shed lookups (qos admission, backpressure
-        or shard-internal degradation) answer
-        :data:`~repro.faults.SHED_RESULT`.
+        :class:`ServeTrace`; shed lookups (shard-internal admission
+        or backpressure) answer :data:`~repro.faults.SHED_RESULT`.
         """
         if not self._started:
             raise ShardError("service is not started; use 'async with' or start()")
-        try:
-            addresses, vnids = validate_batch(addresses, vnids, self.k)
-        except MalformedBatchError as exc:
-            self._count_malformed(exc)
-            raise
+        addresses, vnids = self._validated(addresses, vnids)
         await self._flush_reconfig()
         start = time.perf_counter()
         batch_index = self.batches_served
         self.batches_served += 1
-        n = len(addresses)
         part = self.distributor.partition(vnids)
         sorted_addresses = part.gather(addresses)
         sorted_vnids = part.gather(vnids)
-        offered = np.bincount(vnids, minlength=self.k)
         vn_shed = np.zeros(self.k, dtype=np.int64)
-        results = np.full(n, SHED_RESULT, dtype=np.int64)
+        results = np.full(len(addresses), SHED_RESULT, dtype=np.int64)
         loop = asyncio.get_running_loop()
         pending: list[tuple[_ShardHandle, np.ndarray, asyncio.Future]] = []
         for handle in self.shards:
-            admit = self._shard_admission(handle, offered, n, batch_index)
-            pieces_a: list[np.ndarray] = []
-            pieces_v: list[np.ndarray] = []
-            pieces_pos: list[np.ndarray] = []
-            for vn in range(handle.vn_lo, handle.vn_hi):
-                sl = part.engine_slice(vn)
-                keep = admit_count(
-                    sl.stop - sl.start, admit[vn - handle.vn_lo], vn, vn_shed
-                )
-                kept = slice(sl.start, sl.start + keep)
-                pieces_a.append(sorted_addresses[kept])
-                pieces_v.append(sorted_vnids[kept] - handle.vn_lo)
-                pieces_pos.append(part.order[kept])
-            sub_addresses = np.concatenate(pieces_a) if pieces_a else np.array([], dtype=np.uint32)
-            if len(sub_addresses) == 0:
+            lo, hi = handle.vn_lo, handle.vn_hi
+            sl = slice(int(part.offsets[lo]), int(part.offsets[hi]))
+            if sl.start == sl.stop:
                 continue
-            sub_vnids = np.concatenate(pieces_v)
-            positions = np.concatenate(pieces_pos)
             request = ShardBatchRequest(
                 batch_index=batch_index,
-                addresses=sub_addresses,
-                vnids=sub_vnids,
+                addresses=sorted_addresses[sl],
+                vnids=sorted_vnids[sl] - lo,
                 queue_seed=batch_index * len(self.shards)
                 + handle.config.shard_id,
             )
@@ -577,17 +463,14 @@ class ShardedLookupService:
             try:
                 handle.queue.put_nowait((("serve", request), future))
             except asyncio.QueueFull:
-                # backpressure: a saturated shard sheds the whole
-                # sub-batch (admission sheds included) instead of
-                # queueing without bound
+                # backpressure: a saturated shard sheds its whole
+                # sub-batch instead of queueing without bound
                 future.cancel()
-                for vn in range(handle.vn_lo, handle.vn_hi):
-                    sl = part.engine_slice(vn)
-                    vn_shed[vn] = sl.stop - sl.start
+                vn_shed[lo:hi] = np.diff(part.offsets[lo : hi + 1])
                 self._record_backpressure(handle)
                 continue
             self._record_queue_depth(handle)
-            pending.append((handle, positions, future))
+            pending.append((handle, part.order[sl], future))
 
         shard_results: dict[int, ShardBatchResult] = {}
         for handle, positions, future in pending:
@@ -596,15 +479,13 @@ class ShardedLookupService:
             shard_results[handle.config.shard_id] = outcome
             results[positions] = outcome.results
             self.queue_validations[handle.config.shard_id] = outcome.queue
-            # fold the shard's internal shedding (fault degradation)
-            # into the global per-VN ledger
-            for local_vn, count in enumerate(outcome.trace.vn_shed):
-                if count:
-                    vn_shed[handle.vn_lo + local_vn] += count
-        trace = self._account(
-            shard_results, offered, vn_shed, n, batch_index, start
-        )
-        self._publish(trace, shard_results, batch_index)
+            # the shard's own admission and walk shedding, rebased to
+            # global VNs (empty on a nominal batch)
+            if outcome.trace.vn_shed:
+                vn_shed[handle.vn_lo : handle.vn_hi] += outcome.trace.vn_shed
+        offered = np.diff(part.offsets)
+        trace = self._account(shard_results, offered, vn_shed, len(addresses), start)
+        self._publish(trace, batch_index)
         return results, trace
 
     async def lookup_batch(
@@ -622,7 +503,6 @@ class ShardedLookupService:
         offered: np.ndarray,
         vn_shed: np.ndarray,
         n: int,
-        batch_index: int,
         start: float,
     ) -> ServeTrace:
         """Reassemble shard traces into one global-shaped ServeTrace.
@@ -728,14 +608,6 @@ class ShardedLookupService:
 
     # -- metrics ----------------------------------------------------------
 
-    def _count_malformed(self, exc: MalformedBatchError) -> None:
-        if self._registry.enabled:
-            self._registry.counter(
-                "repro_serve_errors_total",
-                "Serve-path errors by kind",
-                labels=("kind",),
-            ).labels(exc.kind).inc()
-
     def _record_backpressure(self, handle: _ShardHandle) -> None:
         if self._registry.enabled:
             self._registry.counter(
@@ -754,12 +626,7 @@ class ShardedLookupService:
                 handle.queue.qsize()
             )
 
-    def _publish(
-        self,
-        trace: ServeTrace,
-        shard_results: dict[int, ShardBatchResult],
-        batch_index: int,
-    ) -> None:
+    def _publish(self, trace: ServeTrace, batch_index: int) -> None:
         """Frontend-side metrics, span and power for one served batch."""
         metrics_on = self._registry.enabled
         tracing_on = self._tracer.enabled
@@ -789,21 +656,15 @@ class ShardedLookupService:
             if trace.n_shed:
                 shed = self._registry.counter(
                     "repro_frontend_shed_lookups_total",
-                    "Lookups shed by frontend admission or shard degradation",
+                    "Lookups shed by shard admission or frontend backpressure",
                     labels=("scheme", "vn"),
                 )
                 for vn, count in enumerate(trace.vn_shed):
                     if count:
                         shed.labels(scheme, vn).inc(count)
-            # the same tier-level gauges the single-process service
-            # publishes, so the DVS governor samples one surface on
-            # either tier: the reassembled global duty cycle and the
-            # worst shard's measured queue wait
-            self._registry.gauge(
-                "repro_serve_duty_cycle",
-                "Packet-weighted mean memory duty cycle of the last batch",
-                labels=("scheme",),
-            ).labels(scheme).set(trace.mean_duty_cycle())
+            # the worst shard's measured queue wait, on the gauge the
+            # single-process service publishes, so the DVS governor
+            # samples one surface on either tier
             if self.queue_validations:
                 worst_wait = max(
                     v.observed_wait_ns for v in self.queue_validations.values()
@@ -814,19 +675,11 @@ class ShardedLookupService:
                     "at the realized (post-shedding) load",
                     labels=("scheme",),
                 ).labels(scheme).set(worst_wait)
-            if self.power_sampler is not None:
-                write_rate = None
-                if self.fault_plan is not None:
-                    write_rate = self.fault_plan.context_at(batch_index).write_rate
-                # measured duty, not the configured fraction — the
-                # same satellite fix as LookupService.serve: live
-                # power must track the load actually carried
-                sample = self.power_sampler.observe(
-                    trace,
-                    duty_cycle=trace.mean_duty_cycle(),
-                    write_rate=write_rate,
-                )
-                span.set("power_total_w", sample.total_w)
+            write_rate = None
+            if self.fault_plan is not None:
+                write_rate = self.fault_plan.context_at(batch_index).write_rate
+            sample = self._publish_tail(trace, span, write_rate)
+            if sample is not None:
                 watts = self._registry.gauge(
                     "repro_shard_power_watts",
                     "Power attributed to each shard's virtual networks",
@@ -837,8 +690,6 @@ class ShardedLookupService:
                         sum(sample.per_vn_w[handle.vn_lo : handle.vn_hi])
                     )
                     watts.labels(scheme, handle.config.shard_id).set(shard_w)
-            if self._governor is not None:
-                self._governor.on_batch(self, trace)
 
     # -- scrape-merge -----------------------------------------------------
 
@@ -874,23 +725,11 @@ class ShardedLookupService:
     ) -> bool:
         """Cross-check a nominal batch against per-VN linear-scan oracles.
 
-        Builds the oracle answers from the shard configs' tables (the
-        frontend keeps no engines of its own) and serves the batch
-        through the tier; admitted results must match the oracle
-        everywhere (shed lookups are excluded — a faulted tier can
-        still verify its admitted traffic).
+        Serves the batch through the tier, then checks every answered
+        lookup against its VN's linear-scan oracle (shed lookups are
+        excluded — a faulted tier can still verify its admitted
+        traffic).
         """
         results, _ = await self.serve(addresses, vnids)
         addresses, vnids = validate_batch(addresses, vnids, self.k)
-        for handle in self.shards:
-            for local_vn, table in enumerate(handle.config.tables):
-                vn = handle.vn_lo + local_vn
-                indices = np.flatnonzero(
-                    (vnids == vn) & (results != SHED_RESULT)
-                )
-                if not len(indices):
-                    continue
-                oracle = table.lookup_linear_batch(addresses[indices])
-                if not np.array_equal(results[indices], oracle):
-                    return False
-        return True
+        return self._matches_oracle(addresses, vnids, results)

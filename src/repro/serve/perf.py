@@ -5,13 +5,6 @@ batch lookups (warmup, repeated timed runs, median, ops/s) and writes
 a machine-readable ``BENCH_lookup.json`` at the repository root — the
 artifact that populates the performance trajectory from PR 2 onward
 (``make bench`` locally, the ``bench-smoke`` CI job in reduced form).
-
-The harness also *retains the pre-PR baseline*: a faithful
-re-implementation of the original ``MergedTrie.lookup_batch`` (child
-arrays rebuilt from Python list comprehensions on every call, results
-gathered one packet at a time).  Its ops/s lands in the JSON next to
-the vectorized path's, so the reported ``speedup_vs_pre_pr`` is
-measured, not remembered.
 """
 
 from __future__ import annotations
@@ -27,15 +20,12 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
-from repro.iplookup.trie import NONE
 from repro.serve.service import LookupService
-from repro.virt.merged import MergedTrie
 from repro.virt.schemes import Scheme
 
 __all__ = [
     "BenchRecord",
     "time_callable",
-    "legacy_merged_lookup_batch",
     "run_lookup_bench",
     "run_gate_bench",
     "evaluate_gate",
@@ -46,9 +36,7 @@ __all__ = [
 #: bump when the JSON layout changes incompatibly
 SCHEMA_VERSION = 1
 
-#: the cases the regression gate re-measures (the serving hot paths;
-#: the slow pre-PR baseline is deliberately excluded — it exists to
-#: measure the speedup once, not to burn CI time every push)
+#: the cases the regression gate re-measures (the serving hot paths)
 GATED_CASES = ("serve_NV", "serve_VS", "serve_VM")
 
 
@@ -124,40 +112,6 @@ def bench(
     )
 
 
-def legacy_merged_lookup_batch(
-    merged: MergedTrie, addresses: np.ndarray, vnids: np.ndarray
-) -> np.ndarray:
-    """The pre-PR ``MergedTrie.lookup_batch``, kept as the baseline.
-
-    Rebuilds the child arrays from Python list comprehensions on
-    every call and gathers the per-packet results with a scalar
-    Python loop — exactly the hot-path behaviour this PR removed.
-    Retained so the harness measures the speedup instead of assuming
-    it.
-    """
-    addresses = np.asarray(addresses, dtype=np.uint32)
-    vnids = np.asarray(vnids, dtype=np.int64)
-    trie = merged.structure
-    left = np.asarray([trie.left(n) for n in trie.nodes()], dtype=np.int64)
-    right = np.asarray([trie.right(n) for n in trie.nodes()], dtype=np.int64)
-    leaf = left == NONE
-    node = np.zeros(len(addresses), dtype=np.int64)
-    for lvl in range(trie.depth()):
-        bits = (addresses >> np.uint32(31 - lvl)) & np.uint32(1)
-        at_leaf = leaf[node]
-        nxt = np.where(bits == 1, right[node], left[node])
-        node = np.where(at_leaf, node, nxt)
-        if at_leaf.all():
-            break
-    result = np.empty(len(addresses), dtype=np.int64)
-    vectors = merged._vectors
-    for i, n in enumerate(node):
-        vector = vectors[n]
-        assert vector is not None
-        result[i] = vector[vnids[i]]
-    return result
-
-
 def _build_fixture(
     *, pairs: int, k: int, n_prefixes: int, shared_fraction: float, seed: int
 ) -> tuple[dict[Scheme, LookupService], np.ndarray, np.ndarray]:
@@ -216,21 +170,6 @@ def run_lookup_bench(
             repeats=repeats,
         )
     )
-    baseline = bench(
-        "merged_lookup_batch_pre_pr",
-        lambda: legacy_merged_lookup_batch(merged, addresses, vnids),
-        pairs,
-        # the baseline is slow by construction; one timed pass per
-        # repeat is plenty and warmup would only re-run the slow path
-        warmup=min(warmup, 1),
-        repeats=max(2, repeats // 2),
-    )
-    records.append(baseline)
-
-    vectorized = next(r for r in records if r.name == "merged_lookup_batch")
-    speedup = (
-        baseline.median_s / vectorized.median_s if vectorized.median_s > 0 else float("inf")
-    )
     return {
         "benchmark": "lookup",
         "schema_version": SCHEMA_VERSION,
@@ -244,8 +183,6 @@ def run_lookup_bench(
             "seed": seed,
         },
         "results": {r.name: r.as_dict() for r in records},
-        "baseline": {"name": baseline.name, **baseline.as_dict()},
-        "speedup_vs_pre_pr": speedup,
     }
 
 
@@ -264,9 +201,6 @@ def render_summary(payload: dict) -> str:
             f"{record.get('p99_s', max(record['times_s'])):>10.4f} "
             f"{record['ops_per_s']:>14,.0f}"
         )
-    lines.append(
-        f"merged batch speedup vs pre-PR baseline: {payload['speedup_vs_pre_pr']:.1f}x"
-    )
     return "\n".join(lines)
 
 

@@ -14,10 +14,13 @@ enters once and is routed according to the deployment scheme —
 
 The service itself is a thin composition of the stage functions in
 :mod:`repro.serve.stages` (validate → admit → partition → walk →
-scatter → account) plus the instrumentation shell; the sharded async
-tier (:mod:`repro.serve.frontend` / :mod:`repro.serve.shard`) runs the
-*same* stages fanned out across worker processes, which is what keeps
-the library call and the service tier provably identical.
+scatter → account) plus the instrumentation shell.  It is the one
+serve core: the sharded async tier (:mod:`repro.serve.frontend`)
+hosts one ``LookupService`` per shard worker
+(:mod:`repro.serve.shard`) and only fans batches out and back in, and
+both tiers share their control plane through :class:`TierControl` —
+which is what keeps the library call and the service tier identical,
+shed lookups included.
 
 Besides the results, every call returns a :class:`ServeTrace`: the
 per-stage activity each engine would exhibit (via the closed-form
@@ -78,11 +81,11 @@ from repro.core.metrics import throughput_gbps
 from repro.errors import ConfigurationError, MalformedBatchError
 from repro.faults.injectors import ActiveFaults, FAULT_KINDS
 from repro.faults.plan import FaultPlan
-from repro.faults.policy import DegradationPolicy
+from repro.faults.policy import SHED_RESULT, DegradationPolicy
 from repro.fpga.dvs import NOMINAL_POINT, OperatingPoint
 from repro.iplookup.rib import RoutingTable
 from repro.obs.registry import MetricsRegistry, default_registry
-from repro.obs.tracing import Tracer, default_tracer
+from repro.obs.tracing import Span, Tracer, default_tracer
 from repro.serve.stages import (
     EngineGroup,
     ServeTrace,
@@ -103,10 +106,10 @@ from repro.virt.queueing import (
 from repro.virt.schemes import Scheme
 
 if TYPE_CHECKING:  # the sampler/governor pull in the experiment stack
-    from repro.obs.power import PowerTelemetrySampler
+    from repro.obs.power import PowerSample, PowerTelemetrySampler
     from repro.power.governor import DvsGovernor
 
-__all__ = ["LookupService", "ServeTrace"]
+__all__ = ["LookupService", "ServeTrace", "TierControl"]
 
 #: effective-load ceiling the operating point may rescale up to: the
 #: M/D/1 estimate needs rho < 1 strictly, and a governor pushing the
@@ -117,21 +120,185 @@ _LOAD_CEILING = 0.97
 _QUEUE_SIM_ARRIVALS = 4096
 
 
-def effective_load_fraction(nominal: float, scale: float) -> float:
-    """Offered-load fraction after re-clocking the device by ``scale``.
+def _check_load(fraction: float) -> None:
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigurationError(
+            "offered_load_fraction must be in [0, 1) for a stable queue"
+        )
 
-    The absolute offered load is a property of the traffic, so scaling
-    the clock by ``scale`` rescales the load *fraction* by ``1/scale``
-    — capped below 1 (the M/D/1 estimate needs a stable queue; past
-    the cap admission sheds instead).  At ``scale == 1`` this is
-    exactly the configured fraction, preserving every nominal-path
-    invariant.  Shared by :class:`LookupService` and the sharded
-    frontend so both tiers re-clock identically.
+
+class TierControl:
+    """The control plane both serving tiers share.
+
+    :class:`LookupService` and the sharded
+    :class:`~repro.serve.frontend.ShardedLookupService` differ only in
+    where the walk runs; everything around it lives here once: the
+    constructor checks, the DVS operating point and offered load, the
+    aggregate capacity, the malformed-batch counter, the publish tail
+    of an instrumented batch and the per-VN oracle check.  A subclass
+    supplies :attr:`n_engines` and :meth:`_on_reclock`, the one thing
+    a re-clock does differently per tier.
+
+    ``n_stages=None`` sizes the pipeline to the deepest table served:
+    a unibit trie is exactly as deep as its longest prefix, so every
+    engine of either tier gets the same stage count.
     """
-    return min(nominal / scale, max(nominal, _LOAD_CEILING))
+
+    def __init__(
+        self,
+        tables: list[RoutingTable],
+        scheme: Scheme,
+        *,
+        n_stages: int | None,
+        frequency_mhz: float,
+        offered_load_fraction: float,
+        fault_plan: FaultPlan | None,
+        policy: DegradationPolicy | None,
+        registry: MetricsRegistry | None,
+        tracer: Tracer | None,
+        power_sampler: "PowerTelemetrySampler | None",
+    ):
+        if not tables:
+            raise ConfigurationError("need at least one routing table")
+        if frequency_mhz <= 0:
+            raise ConfigurationError("frequency_mhz must be positive")
+        _check_load(offered_load_fraction)
+        if n_stages is None:
+            n_stages = max(max(t.max_length() for t in tables), 1)
+        self.k = len(tables)
+        self.scheme = scheme
+        self.n_stages = n_stages
+        self.frequency_mhz = frequency_mhz
+        self.base_frequency_mhz = frequency_mhz
+        self.offered_load_fraction = offered_load_fraction
+        self._nominal_load_fraction = offered_load_fraction
+        self._operating_point = NOMINAL_POINT
+        self.fault_plan = fault_plan
+        self.policy = policy if policy is not None else DegradationPolicy()
+        self._tables = tables
+        self._registry = registry if registry is not None else default_registry()
+        self._tracer = tracer if tracer is not None else default_tracer()
+        self.power_sampler = power_sampler
+        self._governor: "DvsGovernor | None" = None
+        self.batches_served = 0
+
+    # -- DVS operating point ----------------------------------------------
+
+    @property
+    def operating_point(self) -> OperatingPoint:
+        """The DVS operating point the tier currently runs at."""
+        return self._operating_point
+
+    def apply_operating_point(self, point: OperatingPoint) -> None:
+        """Re-clock the tier to a DVS operating point.
+
+        The engine clock scales by the point's fmax factor; the
+        *absolute* offered load is unchanged, so the offered-load
+        *fraction* rescales inversely (the same packets per second
+        are a larger slice of a slower clock), capped below 1 so the
+        M/D/1 estimate stays finite — past the cap the admission
+        stage sheds, which is the throughput-for-watts trade the
+        governor makes explicit.  At the nominal point this restores
+        the constructed configuration exactly.  The attached power
+        sampler is rescaled in the same call so live telemetry and
+        capacity always describe the same operating point.
+        """
+        scale = point.frequency_scale
+        nominal = self._nominal_load_fraction
+        self._operating_point = point
+        self.frequency_mhz = self.base_frequency_mhz * scale
+        self.offered_load_fraction = min(nominal / scale, max(nominal, _LOAD_CEILING))
+        self._on_reclock(point)
+        if self.power_sampler is not None:
+            self.power_sampler.set_operating_point(point)
+
+    def _on_reclock(self, point: OperatingPoint) -> None:
+        """Tier-specific follow-up of :meth:`apply_operating_point`."""
+        raise NotImplementedError
+
+    def set_offered_load(self, fraction: float) -> None:
+        """Change the modeled offered load (fraction of *base* capacity)."""
+        _check_load(fraction)
+        self._nominal_load_fraction = fraction
+        self.apply_operating_point(self._operating_point)
+
+    # -- capacity ---------------------------------------------------------
+
+    @property
+    def n_engines(self) -> int:
+        """Engines the tier walks on (K for NV/VS, merged engines for VM)."""
+        raise NotImplementedError
+
+    def capacity_gbps(self) -> float:
+        """Aggregate lookup capacity at minimum packet size."""
+        return throughput_gbps(self.frequency_mhz, self.n_engines)
+
+    # -- publishing -------------------------------------------------------
+
+    def _validated(
+        self, addresses: np.ndarray, vnids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The validate stage, with a rejection folded into the error budget.
+
+        A rejected batch touches only ``repro_serve_errors_total``: the
+        batch/lookup counters and the latency histogram stay silent,
+        so a malformed batch can never masquerade as served traffic.
+        """
+        try:
+            return validate_batch(addresses, vnids, self.k)
+        except MalformedBatchError as exc:
+            if self._registry.enabled:
+                self._registry.counter(
+                    "repro_serve_errors_total",
+                    "Serve-path errors by kind",
+                    labels=("kind",),
+                ).labels(exc.kind).inc()
+            raise
+
+    def _publish_tail(
+        self, trace: ServeTrace, span: Span, write_rate: float | None
+    ) -> "PowerSample | None":
+        """The end of every metered batch: duty gauge, power, governor.
+
+        The sampler is fed the *measured* duty cycle, not the
+        configured offered-load fraction: live power must track the
+        load the batch actually carried (shedding, load ramps), which
+        is the signal the DVS governor closes its loop against.
+        Returns the power sample, if a sampler is attached.
+        """
+        duty = trace.mean_duty_cycle()
+        self._registry.gauge(
+            "repro_serve_duty_cycle",
+            "Packet-weighted mean memory duty cycle of the last batch",
+            labels=("scheme",),
+        ).labels(self.scheme.name).set(duty)
+        sample = None
+        if self.power_sampler is not None:
+            sample = self.power_sampler.observe(
+                trace, duty_cycle=duty, write_rate=write_rate
+            )
+            span.set("power_total_w", sample.total_w)
+        if self._governor is not None:
+            self._governor.on_batch(self, trace)
+        return sample
+
+    # -- verification -----------------------------------------------------
+
+    def _matches_oracle(
+        self, addresses: np.ndarray, vnids: np.ndarray, results: np.ndarray
+    ) -> bool:
+        """Answered (not shed) lookups agree with each VN's linear scan."""
+        for vn, table in enumerate(self._tables):
+            indices = np.flatnonzero((vnids == vn) & (results != SHED_RESULT))
+            if not len(indices):
+                continue
+            oracle = table.lookup_linear_batch(addresses[indices])
+            if not np.array_equal(results[indices], oracle):
+                return False
+        return True
 
 
-class LookupService:
+class LookupService(TierControl):
     """Batched ``(addresses, vnids)`` front end over the three schemes.
 
     Parameters
@@ -172,8 +339,8 @@ class LookupService:
         Optional :class:`repro.obs.power.PowerTelemetrySampler`; when
         set and observability is enabled, every served batch is also
         folded into its running per-VN power estimate (at the
-        service's configured offered-load duty cycle, storm write
-        rate included while one is active).
+        batch's measured duty cycle, storm write rate included while
+        one is active).
     """
 
     def __init__(
@@ -190,82 +357,30 @@ class LookupService:
         tracer: Tracer | None = None,
         power_sampler: "PowerTelemetrySampler | None" = None,
     ):
-        if frequency_mhz <= 0:
-            raise ConfigurationError("frequency_mhz must be positive")
-        if not 0.0 <= offered_load_fraction < 1.0:
-            raise ConfigurationError(
-                "offered_load_fraction must be in [0, 1) for a stable queue"
-            )
-        self.group = EngineGroup(tables, scheme, n_stages)
-        self.k = self.group.k
-        self.scheme = scheme
-        self.n_stages = self.group.n_stages
-        self.frequency_mhz = frequency_mhz
-        self.base_frequency_mhz = frequency_mhz
-        self.offered_load_fraction = offered_load_fraction
-        self._nominal_load_fraction = offered_load_fraction
-        self._operating_point = NOMINAL_POINT
-        self.fault_plan = fault_plan
-        self.policy = policy if policy is not None else DegradationPolicy()
-        self._tables = tables
-        self._registry = registry if registry is not None else default_registry()
-        self._tracer = tracer if tracer is not None else default_tracer()
-        self.power_sampler = power_sampler
+        super().__init__(
+            tables,
+            scheme,
+            n_stages=n_stages,
+            frequency_mhz=frequency_mhz,
+            offered_load_fraction=offered_load_fraction,
+            fault_plan=fault_plan,
+            policy=policy,
+            registry=registry,
+            tracer=tracer,
+            power_sampler=power_sampler,
+        )
+        self.group = EngineGroup(tables, scheme, self.n_stages)
         self.distributor = self.group.distributor
         self._nominal_latency: LatencyReport | None = None
-        self._governor: "DvsGovernor | None" = None
-        self.batches_served = 0
 
-    # -- DVS operating point ----------------------------------------------
-
-    @property
-    def operating_point(self) -> OperatingPoint:
-        """The DVS operating point the service currently runs at."""
-        return self._operating_point
-
-    def apply_operating_point(self, point: OperatingPoint) -> None:
-        """Re-clock the service to a DVS operating point.
-
-        The engine clock scales by the point's fmax factor; the
-        *absolute* offered load is unchanged, so the offered-load
-        *fraction* rescales inversely (the same packets per second
-        are a larger slice of a slower clock), capped below 1 so the
-        M/D/1 estimate stays finite — past the cap the admission
-        stages shed, which is the throughput-for-watts trade the
-        governor makes explicit.  At the nominal point this restores
-        the constructed configuration exactly.  The attached power
-        sampler is rescaled in the same call so live telemetry and
-        capacity always describe the same operating point.
-        """
-        scale = point.frequency_scale
-        self._operating_point = point
-        self.frequency_mhz = self.base_frequency_mhz * scale
-        self.offered_load_fraction = effective_load_fraction(
-            self._nominal_load_fraction, scale
-        )
+    def _on_reclock(self, point: OperatingPoint) -> None:
+        """The nominal latency estimate was taken at the old clock."""
         self._nominal_latency = None
-        if self.power_sampler is not None:
-            self.power_sampler.set_operating_point(point)
-
-    def set_offered_load(self, fraction: float) -> None:
-        """Change the modeled offered load (fraction of *base* capacity)."""
-        if not 0.0 <= fraction < 1.0:
-            raise ConfigurationError(
-                "offered_load_fraction must be in [0, 1) for a stable queue"
-            )
-        self._nominal_load_fraction = fraction
-        self.apply_operating_point(self._operating_point)
-
-    # -- capacity ---------------------------------------------------------
 
     @property
     def n_engines(self) -> int:
         """Engines instantiated (K for NV/VS, 1 for VM)."""
         return self.group.n_engines
-
-    def capacity_gbps(self) -> float:
-        """Aggregate lookup capacity at minimum packet size."""
-        return throughput_gbps(self.frequency_mhz, self.n_engines)
 
     def merged(self) -> MergedTrie:
         """The merged engine's union trie (VM scheme only)."""
@@ -276,13 +391,6 @@ class LookupService:
         return self.group.merged
 
     # -- serving ----------------------------------------------------------
-
-    def _validate_batch(
-        self, addresses: np.ndarray, vnids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The validate stage bound to this service's K (see
-        :func:`repro.serve.stages.validate_batch`)."""
-        return validate_batch(addresses, vnids, self.k)
 
     def _admission_rate(self) -> float:
         """Arrival spacing for the activity traces: the effective
@@ -466,11 +574,6 @@ class LookupService:
             "packets (all engines, Little's law over simulated waits)",
             labels=("scheme",),
         ).labels(scheme).set(self.n_engines * arrivals_per_ns * wait_ns)
-        registry.gauge(
-            "repro_serve_duty_cycle",
-            "Packet-weighted mean memory duty cycle of the last batch",
-            labels=("scheme",),
-        ).labels(scheme).set(trace.mean_duty_cycle())
 
     def _record_fault_state(
         self, trace: ServeTrace, faults: ActiveFaults | None
@@ -516,20 +619,6 @@ class LookupService:
         if trace.failed_engines:
             errors.labels("walk_failed").inc(len(trace.failed_engines))
 
-    def _count_malformed(self, exc: MalformedBatchError) -> None:
-        """Fold one strict-validation rejection into the error budget.
-
-        Deliberately the *only* metric a rejected batch touches: the
-        batch/lookup counters and the latency histogram stay silent,
-        so a malformed batch can never masquerade as served traffic.
-        """
-        if self._registry.enabled:
-            self._registry.counter(
-                "repro_serve_errors_total",
-                "Serve-path errors by kind",
-                labels=("kind",),
-            ).labels(exc.kind).inc()
-
     def serve(
         self, addresses: np.ndarray, vnids: np.ndarray
     ) -> tuple[np.ndarray, ServeTrace]:
@@ -546,11 +635,7 @@ class LookupService:
         serve counters/histograms/gauges, and feeds the attached power
         sampler (see module docstring).
         """
-        try:
-            addresses, vnids = self._validate_batch(addresses, vnids)
-        except MalformedBatchError as exc:
-            self._count_malformed(exc)
-            raise
+        addresses, vnids = self._validated(addresses, vnids)
         faults: ActiveFaults | None = None
         if self.fault_plan is not None:
             active = self.fault_plan.context_at(self.batches_served)
@@ -584,20 +669,9 @@ class LookupService:
                 self._record_batch(trace)
                 if self.fault_plan is not None:
                     self._record_fault_state(trace, faults)
-                if self.power_sampler is not None:
-                    # the *measured* duty cycle, not the configured
-                    # offered-load fraction: live power must track the
-                    # load the batch actually carried (shedding, load
-                    # ramps), which is the signal the DVS governor
-                    # closes its loop against
-                    sample = self.power_sampler.observe(
-                        trace,
-                        duty_cycle=trace.mean_duty_cycle(),
-                        write_rate=faults.write_rate if faults else None,
-                    )
-                    span.set("power_total_w", sample.total_w)
-                if self._governor is not None:
-                    self._governor.on_batch(self, trace)
+                self._publish_tail(
+                    trace, span, faults.write_rate if faults else None
+                )
         return results, trace
 
     def lookup_batch(self, addresses: np.ndarray, vnids: np.ndarray) -> np.ndarray:
@@ -616,13 +690,6 @@ class LookupService:
         running power estimate — the invariant pinned by
         ``tests/unit/test_serve.py``.
         """
-        addresses, vnids = self._validate_batch(addresses, vnids)
+        addresses, vnids = validate_batch(addresses, vnids, self.k)
         results, _ = self._serve_inner(addresses, vnids, track_vns=False)
-        for vn in range(self.k):
-            indices = np.flatnonzero(vnids == vn)
-            if not len(indices):
-                continue
-            oracle = self._tables[vn].lookup_linear_batch(addresses[indices])
-            if not np.array_equal(results[indices], oracle):
-                return False
-        return True
+        return self._matches_oracle(addresses, vnids, results)

@@ -2,11 +2,12 @@
 
 The serving tier is built from a small set of pure(ish) stage
 functions over an :class:`EngineGroup` — the frozen engines one
-process walks.  The synchronous :class:`repro.serve.service.LookupService`
-composes every stage in-process; the sharded tier
-(:mod:`repro.serve.shard` / :mod:`repro.serve.frontend`) runs the same
-stages with the walk fanned out across shard worker processes.  Either
-way the pipeline is:
+process walks.  :class:`repro.serve.service.LookupService` composes
+every stage; the sharded tier (:mod:`repro.serve.frontend`) hosts one
+such service per shard worker (:mod:`repro.serve.shard`), so admission
+is decided once, per engine inside the shard, by the same
+:func:`plan_admission` as the synchronous tier — the frontend only
+adds bounded-queue backpressure.  Either way the pipeline is:
 
     validate_batch          strict typed rejection, never coerce
         │

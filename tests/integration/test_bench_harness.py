@@ -2,32 +2,26 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
-from repro.iplookup.trie import UnibitTrie
 from repro.serve.perf import (
     GATED_CASES,
     SCHEMA_VERSION,
     bench,
     evaluate_gate,
     gate_main,
-    legacy_merged_lookup_batch,
     main,
     run_gate_bench,
     run_lookup_bench,
     time_callable,
 )
-from repro.virt.merged import merge_tries
 
 EXPECTED_CASES = {
     "serve_NV",
     "serve_VS",
     "serve_VM",
     "merged_lookup_batch",
-    "merged_lookup_batch_pre_pr",
 }
 
 
@@ -64,21 +58,6 @@ class TestTiming:
         assert record.p99_s <= max(record.times_s)
 
 
-class TestLegacyBaseline:
-    def test_baseline_matches_vectorized_path(self):
-        """The retained pre-PR baseline must stay behaviour-identical —
-        otherwise the reported speedup compares different work."""
-        tables = generate_virtual_tables(3, 0.5, SyntheticTableConfig(n_prefixes=200, seed=3))
-        merged = merge_tries([UnibitTrie(t) for t in tables])
-        rng = np.random.default_rng(3)
-        addrs = rng.integers(0, 1 << 32, size=4000, dtype=np.uint64).astype(np.uint32)
-        vnids = rng.integers(0, 3, size=4000, dtype=np.int64)
-        assert np.array_equal(
-            legacy_merged_lookup_batch(merged, addrs, vnids),
-            merged.lookup_batch(addrs, vnids),
-        )
-
-
 class TestHarness:
     @pytest.fixture(scope="class")
     def payload(self):
@@ -88,18 +67,12 @@ class TestHarness:
         assert payload["benchmark"] == "lookup"
         assert payload["schema_version"] == SCHEMA_VERSION
         assert set(payload["results"]) == EXPECTED_CASES
-        assert payload["baseline"]["name"] == "merged_lookup_batch_pre_pr"
 
     def test_every_case_reports_positive_rate(self, payload):
         for name, record in payload["results"].items():
             assert record["ops_per_s"] > 0, name
             assert record["median_s"] > 0, name
             assert record["pairs"] == 2000
-
-    def test_speedup_is_measured(self, payload):
-        baseline = payload["results"]["merged_lookup_batch_pre_pr"]["median_s"]
-        vectorized = payload["results"]["merged_lookup_batch"]["median_s"]
-        assert payload["speedup_vs_pre_pr"] == pytest.approx(baseline / vectorized)
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ConfigurationError):
@@ -114,7 +87,7 @@ class TestHarness:
         assert payload["config"]["pairs"] == 1500
         assert payload["config"]["repeats"] <= 2
         stdout = capsys.readouterr().out
-        assert "speedup" in stdout
+        assert "serve_VS" in stdout
 
 
 class TestThroughputGate:

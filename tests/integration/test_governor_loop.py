@@ -12,7 +12,8 @@ Pins the governor milestone's contract (the *offline* planner of
   point within the established 1% bound;
 * the same control loop drives the sharded tier: reconfig broadcasts
   reach every shard worker and the voltage trajectory matches the
-  single-process tier batch for batch;
+  single-process tier batch for batch, and the per-shard placement
+  view tracks each shard's admitted demand;
 * decisions respect the policy's slew limit and voltage band;
 * inside the fault window the governor trades throughput for watts —
   it sheds rather than raising the rail.
@@ -30,6 +31,8 @@ import pytest
 
 from repro.core.metrics import lookup_latency_ns
 from repro.experiments.governor import ramp_run
+from repro.faults.injectors import EngineStall
+from repro.faults.plan import FaultPlan, FaultWindow
 from repro.fpga.dvs import dynamic_scale, frequency_scale, static_scale
 from repro.fpga.power_report import XPowerAnalyzer
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
@@ -241,6 +244,43 @@ class TestShardedTier:
         single_trajectory = [d.voltage_after for d in governor.decisions]
         sharded_trajectory = asyncio.run(sharded())
         assert sharded_trajectory == pytest.approx(single_trajectory)
+
+
+    def test_stalled_shard_implies_a_lower_voltage(self):
+        """The placement view reads each shard's *admitted* demand off
+        the reassembled trace: a shard whose engines are stalled admits
+        nothing, so its implied voltage sits below the healthy one's."""
+        registry = MetricsRegistry(enabled=True)
+        plan = FaultPlan(
+            (
+                FaultWindow(0, 100, EngineStall(2, 0.0)),
+                FaultWindow(0, 100, EngineStall(3, 0.0)),
+            )
+        )
+
+        async def drive():
+            service = ShardedLookupService(
+                _tables(),
+                Scheme.VS,
+                n_shards=2,
+                transport="inline",
+                offered_load_fraction=0.8,
+                fault_plan=plan,
+                registry=registry,
+                tracer=Tracer(enabled=False),
+            )
+            DvsGovernor(policy=GovernorPolicy()).attach(service)
+            async with service:
+                for addresses, vnids in _batches(3):
+                    await service.serve(addresses, vnids)
+
+        asyncio.run(drive())
+        gauge = registry.get("repro_governor_shard_volts")
+        assert gauge is not None
+        volts = {labels[1]: child.value for labels, child in gauge.samples()}
+        assert set(volts) == {"0", "1"}
+        assert volts["1"] < volts["0"]
+        assert volts["1"] == pytest.approx(GovernorPolicy().v_min)
 
 
 class TestTelemetryRegressions:
