@@ -36,7 +36,7 @@ __all__ = [
 
 #: cache-key salt: package version + a schema generation bumped on
 #: model changes that alter results without changing the spec
-CACHE_SALT = f"repro-{__version__}-engine-v1"
+CACHE_SALT = f"repro-{__version__}-engine-v2"
 
 #: default on-disk location, relative to the working directory
 DEFAULT_CACHE_DIR = os.path.join("out", ".cache")

@@ -30,6 +30,7 @@ __all__ = [
     "pack_stage_memory",
     "blocks_required",
     "bram_dynamic_power_uw",
+    "write_rate_factor",
     "PAPER_WRITE_RATE",
     "PAPER_READ_WIDTH",
 ]
@@ -141,6 +142,18 @@ def pack_stage_memory(bits: int, width: int = PAPER_READ_WIDTH) -> BramPacking:
     return BramPacking(blocks36=blocks36, blocks18=blocks18, bits=bits, width=width)
 
 
+def write_rate_factor(write_rate: float) -> float:
+    """Dynamic-power multiplier of a table-update (write) rate.
+
+    Writes toggle more bit-lines than reads; the factor is linear in
+    the rate and exactly 1 at the paper's 1 % update rate, so it
+    scales any BRAM power figure evaluated at that rate.
+    """
+    if not 0.0 <= write_rate <= 1.0:
+        raise ConfigurationError("write_rate must be in [0, 1]")
+    return 1.0 + 0.35 * (write_rate - PAPER_WRITE_RATE)
+
+
 @monotone_in("frequency_mhz", "n_blocks")
 def bram_dynamic_power_uw(
     frequency_mhz: float,
@@ -163,9 +176,8 @@ def bram_dynamic_power_uw(
     n_blocks:
         Number of active blocks of this kind.
     write_rate:
-        Fraction of cycles performing a write.  Writes toggle more
-        bit-lines than reads; the factor is normalized to 1 at the
-        paper's 1 % update rate.
+        Fraction of cycles performing a write
+        (:func:`write_rate_factor`).
     read_width:
         Read-port data width in bits.  The paper found the width
         effect "negligible compared with the other parameters"; the
@@ -179,13 +191,11 @@ def bram_dynamic_power_uw(
         raise ConfigurationError("frequency must be non-negative")
     if n_blocks < 0:
         raise ConfigurationError("n_blocks must be non-negative")
-    if not 0.0 <= write_rate <= 1.0:
-        raise ConfigurationError("write_rate must be in [0, 1]")
+    write_factor = write_rate_factor(write_rate)
     if read_width <= 0:
         raise ConfigurationError("read_width must be positive")
     if not 0.0 <= enable_rate <= 1.0:
         raise ConfigurationError("enable_rate must be in [0, 1]")
     base = kind.coefficient_uw_per_mhz(grade)
-    write_factor = 1.0 + 0.35 * (write_rate - PAPER_WRITE_RATE)
     width_factor = 0.95 + 0.05 * (read_width / PAPER_READ_WIDTH)
     return base * frequency_mhz * n_blocks * write_factor * width_factor * enable_rate

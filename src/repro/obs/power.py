@@ -11,11 +11,15 @@ into a watts / mW-per-Gbps estimate, attributed per virtual network.
 
 The *activity* inputs come from the live trace (per-engine batch
 shares, per-VN lookup counts); the *coefficients* come from the same
-placed design and XPA-like reporter the figures use.  Consequence —
-and the property the tests pin: on a static workload (uniform
-per-VN load, full duty cycle) the sampled totals equal the fig5/fig8
-engine rows exactly, because both sides make the identical
-:class:`~repro.fpga.power_report.XPowerAnalyzer` calls.
+placed design and XPA-like reporter the figures use.  The reporter is
+linear in each engine's activity and, for BRAM, in the write-rate
+factor (:func:`repro.fpga.bram.write_rate_factor`), so the sampler
+runs :class:`~repro.fpga.power_report.XPowerAnalyzer` once, at full
+activity, and a per-batch reading is O(K) arithmetic over the
+factored per-engine watts.  Consequence — and the property the tests
+pin: a reading equals the reporter evaluated at the batch's activity
+to float round-off, so on a static workload (uniform per-VN load,
+full duty cycle) the sampled totals equal the fig5/fig8 engine rows.
 
 Units and invariants
 --------------------
@@ -35,10 +39,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.config import ScenarioConfig
-from repro.core.estimator import ExperimentalPower, ScenarioResult
+from repro.core.estimator import ScenarioResult
 from repro.core.metrics import mw_per_gbps
 from repro.errors import ConfigurationError, ObservabilityError
-from repro.fpga.bram import PAPER_WRITE_RATE
+from repro.fpga.bram import PAPER_WRITE_RATE, write_rate_factor
 from repro.fpga.dvs import NOMINAL_POINT, NOMINAL_VOLTAGE, OperatingPoint
 from repro.fpga.power_report import XPowerAnalyzer
 from repro.fpga.speedgrade import SpeedGrade
@@ -147,7 +151,9 @@ class PowerTelemetrySampler:
 
     The scenario is evaluated once at construction through the
     process-wide memoized path, so building a sampler for a grid point
-    the experiments already visited is free.
+    the experiments already visited costs one reporter call: the
+    full-activity report whose per-engine components every later
+    :meth:`sample` scales.
     """
 
     def __init__(
@@ -172,7 +178,15 @@ class PowerTelemetrySampler:
             table=table if table is not None else paper_table_config(),
         )
         self.scenario: ScenarioResult = evaluate_scenario(self.config)
-        self._analyzer = XPowerAnalyzer()
+        # full activity at the paper's write rate; sample() scales
+        # these per-engine components (see the module docstring)
+        report = XPowerAnalyzer().report(
+            self.scenario.placed, self.scenario.frequency_mhz
+        )
+        self._static_w = report.static_w
+        self._logic_w = np.array([e.logic_w for e in report.engines])
+        self._signal_w = np.array([e.signal_w for e in report.engines])
+        self._bram_w = np.array([e.bram_w for e in report.engines])
         self._registry = registry
         self._batches = 0
         self._packets = 0
@@ -240,7 +254,10 @@ class PowerTelemetrySampler:
         point.  ``write_rate`` overrides the stage-memory update rate
         (defaults to the paper's nominal
         :data:`~repro.fpga.bram.PAPER_WRITE_RATE`; a write storm
-        passes its inflated rate here).
+        passes its inflated rate here).  The reading is the factored
+        full-activity report scaled by each engine's activity (and, for
+        BRAM, by the write-rate factor) — equal to re-running the
+        reporter at that activity, without the per-stage walk.
         """
         if not 0.0 <= duty_cycle <= 1.0:
             raise ConfigurationError("duty_cycle must be in [0, 1]")
@@ -257,7 +274,6 @@ class PowerTelemetrySampler:
                 f"at K={k} needs {expected_engines}"
             )
         loads = np.asarray(trace.engine_loads(), dtype=float)
-        placed = self.scenario.placed
         f = self.scenario.frequency_mhz
         # DVS scaling factors of the current operating point; each
         # component of the base-grade evaluation scales independently
@@ -265,41 +281,31 @@ class PowerTelemetrySampler:
         ss = self._point.static_scale
         ds = self._point.dynamic_scale * self._point.frequency_scale
 
+        if scheme is Scheme.VM:
+            # the one engine's activity is its share of the offered
+            # batch (1 nominally, less under degraded admission)
+            loads = loads[:1] if trace.n_packets > 0 else np.ones(1)
+        activity = loads * duty_cycle
+        if ((activity < 0.0) | (activity > 1.0)).any():
+            raise ConfigurationError("engine activities must be in [0, 1]")
+        logic = self._logic_w * activity
+        signal = self._signal_w * activity
+        bram = self._bram_w * activity * write_rate_factor(rate)
+        dynamic = (logic + signal + bram) * ds
         if scheme is Scheme.NV:
-            # K identical devices: one report per device at its VN's load
-            reports = [
-                self._analyzer.report(
-                    placed, f, np.array([load * duty_cycle]), write_rate=rate
-                )
-                for load in loads
-            ]
-            power = ExperimentalPower.from_reports(reports)
-            per_vn = tuple(r.static_w * ss + r.dynamic_w * ds for r in reports)
+            # K identical devices, each charged to its own VN
+            static = self._static_w * ss * k
+            per_vn = tuple((self._static_w * ss + dynamic).tolist())
             shares = loads
         elif scheme is Scheme.VS:
-            report = self._analyzer.report(
-                placed, f, loads * duty_cycle, write_rate=rate
-            )
-            power = ExperimentalPower.from_reports([report])
-            per_vn = tuple(
-                report.static_w * ss / k + engine.dynamic_w * ds
-                for engine in report.engines
-            )
+            static = self._static_w * ss
+            per_vn = tuple((static / k + dynamic).tolist())
             shares = loads
         else:
-            # VM: the one engine's activity is its share of the offered
-            # batch (1 nominally, less under degraded admission) times
-            # the duty cycle; attribute dynamic power by VN share
-            served = loads[0] if trace.n_packets > 0 else 1.0
-            report = self._analyzer.report(
-                placed, f, np.array([served * duty_cycle]), write_rate=rate
-            )
-            power = ExperimentalPower.from_reports([report])
+            # VM: attribute the merged engine's dynamic power by VN share
+            static = self._static_w * ss
             shares = self._vn_shares(trace)
-            per_vn = tuple(
-                report.static_w * ss / k + report.dynamic_w * ds * share
-                for share in shares
-            )
+            per_vn = tuple((static / k + dynamic[0] * shares).tolist())
 
         capacity = self.scenario.throughput_gbps * self._point.frequency_scale
         return PowerSample(
@@ -309,10 +315,10 @@ class PowerTelemetrySampler:
             frequency_mhz=f * self._point.frequency_scale,
             duty_cycle=duty_cycle,
             n_packets=trace.n_packets,
-            static_w=power.static_w * ss,
-            logic_w=power.logic_w * ds,
-            signal_w=power.signal_w * ds,
-            bram_w=power.bram_w * ds,
+            static_w=static,
+            logic_w=float(logic.sum()) * ds,
+            signal_w=float(signal.sum()) * ds,
+            bram_w=float(bram.sum()) * ds,
             throughput_gbps=capacity,
             per_vn_w=per_vn,
             per_vn_gbps=tuple(capacity * duty_cycle * float(s) for s in shares),

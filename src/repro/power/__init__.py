@@ -2,8 +2,8 @@
 
 :mod:`repro.power.governor` hosts the DVS governor — the control loop
 that connects the CMOS voltage/frequency model of :mod:`repro.fpga.dvs`
-to the live serving telemetry (measured duty cycle, measured queue
-wait) and drives both serving tiers' operating point.  The
+to the live serving telemetry (measured duty cycle, queue wait
+modeled at the realized load) and drives both serving tiers' operating point.  The
 :class:`~repro.fpga.dvs.OperatingPoint` value object itself lives in
 :mod:`repro.fpga.dvs` (the fpga layer imports nothing from serve, so
 the shard reconfig protocol can carry it without an import cycle) and

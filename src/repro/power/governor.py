@@ -24,7 +24,8 @@ Control law
 3. **Pick the point**: target fmax scale = ``demand / headroom``,
    clamped to the policy's voltage band, inverted in closed form to
    the minimum sustaining voltage.
-4. **Queue guard**: a measured queue wait above the policy budget
+4. **Queue guard**: a queue wait above the policy budget — the
+   modeled M/D/1 wait at the batch's realized load, in closed form —
    overrides the demand estimate and raises the voltage one slew step
    — latency pressure beats energy savings.
 5. **Slew-limit and apply**: the voltage moves at most
@@ -108,8 +109,9 @@ class GovernorPolicy:
     slew_volts:
         Largest per-decision voltage step (rail slew limit).
     queue_wait_budget_ns:
-        Measured input-queue wait above which latency pressure forces
-        a raise regardless of the demand estimate.
+        Input-queue wait (the modeled ``repro_serve_queue_wait_ns``
+        gauge) above which latency pressure forces a raise regardless
+        of the demand estimate.
     deadband_volts:
         Voltage moves smaller than this are held (no churn on noise).
     """

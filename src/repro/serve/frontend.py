@@ -35,10 +35,10 @@ One batch flows as:
    that sample cut along shard boundaries, which is why they sum to
    the single-process total.
 
-Every shard also ships back a
-:class:`~repro.virt.queueing.QueueValidation` (its measured Lindley
-queue vs the M/D/1 prediction); the frontend keeps the latest per
-shard in :attr:`ShardedLookupService.queue_validations`.
+The modeled M/D/1 queue wait is published once per batch, from the
+reassembled trace at its realized (post-shedding) load, by the same
+:class:`~repro.serve.service.TierControl` helper the synchronous tier
+uses; shards simulate no queue.
 
 Metrics appear on two surfaces: shard-local registries (scraped and
 merged through shard-labeled snapshots — :meth:`ShardedLookupService.scrape`
@@ -76,7 +76,7 @@ from repro.serve.shard import (
 )
 from repro.serve.stages import validate_batch
 from repro.virt.distributor import Distributor
-from repro.virt.queueing import LatencyReport, QueueValidation
+from repro.virt.queueing import LatencyReport
 from repro.virt.schemes import Scheme
 
 if TYPE_CHECKING:  # the sampler pulls in the experiment stack
@@ -268,7 +268,6 @@ class ShardedLookupService(TierControl):
         self._pending_reconfig: tuple[OperatingPoint, float] | None = None
         self.distributor = Distributor(k=self.k)
         self.bounds = shard_vn_bounds(self.k, n_shards)
-        self.queue_validations: dict[int, QueueValidation] = {}
         self._started = False
         self.shards: list[_ShardHandle] = []
         for shard_id in range(n_shards):
@@ -478,7 +477,6 @@ class ShardedLookupService(TierControl):
             assert isinstance(outcome, ShardBatchResult)
             shard_results[handle.config.shard_id] = outcome
             results[positions] = outcome.results
-            self.queue_validations[handle.config.shard_id] = outcome.queue
             # the shard's own admission and walk shedding, rebased to
             # global VNs (empty on a nominal batch)
             if outcome.trace.vn_shed:
@@ -662,19 +660,9 @@ class ShardedLookupService(TierControl):
                 for vn, count in enumerate(trace.vn_shed):
                     if count:
                         shed.labels(scheme, vn).inc(count)
-            # the worst shard's measured queue wait, on the gauge the
-            # single-process service publishes, so the DVS governor
-            # samples one surface on either tier
-            if self.queue_validations:
-                worst_wait = max(
-                    v.observed_wait_ns for v in self.queue_validations.values()
-                )
-                self._registry.gauge(
-                    "repro_serve_queue_wait_ns",
-                    "Measured mean M/D/1 input-queue wait of the last batch "
-                    "at the realized (post-shedding) load",
-                    labels=("scheme",),
-                ).labels(scheme).set(worst_wait)
+            # the gauge the single-process service publishes, so the
+            # DVS governor samples one surface on either tier
+            self._publish_queue_wait(trace)
             write_rate = None
             if self.fault_plan is not None:
                 write_rate = self.fault_plan.context_at(batch_index).write_rate

@@ -57,7 +57,8 @@ a ``serve.batch`` span (plus one ``fault.<kind>`` child span per
 active fault), increments per-scheme batch and per-VN lookup
 counters, observes the host wall-clock batch latency into a
 fixed-bucket histogram (seconds), sets the modeled M/D/1 queue-depth
-and measured memory-duty-cycle gauges, and maintains the error-budget
+and queue-wait gauges (closed form) and the
+measured memory-duty-cycle gauge, and maintains the error-budget
 surface (``repro_serve_errors_total``,
 ``repro_serve_shed_lookups_total``, ``repro_serve_retries_total``,
 ``repro_fault_active``) — see ``docs/OBSERVABILITY.md`` for the
@@ -66,7 +67,7 @@ byte-for-byte the uninstrumented hot path behind a single flag check,
 so there is no measurable overhead.
 
 Units: batch latency is recorded in seconds, queue depth in packets,
-duty cycle as a fraction in [0, 1].
+queue wait in ns, duty cycle as a fraction in [0, 1].
 """
 
 from __future__ import annotations
@@ -95,13 +96,12 @@ from repro.serve.stages import (
     walk_degraded,
     walk_nominal,
 )
-from repro.units import mhz_to_hz, s_to_ns
 from repro.virt.merged import MergedTrie
 from repro.virt.queueing import (
     LatencyReport,
     degraded_latency_ns,
+    md1_wait_ns,
     scheme_latency_ns,
-    simulate_md1_waits,
 )
 from repro.virt.schemes import Scheme
 
@@ -115,9 +115,6 @@ __all__ = ["LookupService", "ServeTrace", "TierControl"]
 #: M/D/1 estimate needs rho < 1 strictly, and a governor pushing the
 #: clock down must not be able to model a saturated queue as stable
 _LOAD_CEILING = 0.97
-
-#: arrivals simulated per batch for the measured-queue gauge
-_QUEUE_SIM_ARRIVALS = 4096
 
 
 def _check_load(fraction: float) -> None:
@@ -254,6 +251,27 @@ class TierControl:
                     labels=("kind",),
                 ).labels(exc.kind).inc()
             raise
+
+    def _publish_queue_wait(self, trace: ServeTrace) -> None:
+        """Publish the modeled M/D/1 wait at the batch's realized load.
+
+        The realized load is the configured fraction times the share
+        of the batch actually admitted (degraded admission sheds
+        arrivals), so the figure follows shedding and re-clocks but is
+        still the model's closed form, not a measurement.  The DVS
+        governor's queue-pressure override reads this gauge on either
+        tier.
+        """
+        admitted = trace.n_admitted / trace.n_packets if trace.n_packets else 0.0
+        wait_ns = md1_wait_ns(
+            self.offered_load_fraction * admitted, self.frequency_mhz
+        )
+        self._registry.gauge(
+            "repro_serve_queue_wait_ns",
+            "Modeled mean M/D/1 input-queue wait of the last batch at "
+            "the realized (post-shedding) load, ns",
+            labels=("scheme",),
+        ).labels(self.scheme.name).set(wait_ns)
 
     def _publish_tail(
         self, trace: ServeTrace, span: Span, write_rate: float | None
@@ -541,39 +559,10 @@ class LookupService(TierControl):
             "repro_serve_queue_depth",
             "Modeled M/D/1 mean queue occupancy at the configured "
             "offered load, packets (all engines); see "
-            "repro_serve_queue_depth_measured for the realized queue",
+            "repro_serve_queue_wait_ns for the wait at the realized load",
             labels=("scheme",),
         ).labels(scheme).set(queue_depth)
-        # realized queue, from the load the batch *actually* carried:
-        # the configured rho times the admitted fraction (degraded
-        # admission sheds arrivals), simulated through the same Lindley
-        # recursion the shards validate against, then converted to
-        # occupancy via Little's law (arrivals/ns x mean wait)
-        served_fraction = (
-            trace.n_admitted / trace.n_packets if trace.n_packets else 0.0
-        )
-        realized_rho = rho * served_fraction
-        waits = simulate_md1_waits(
-            realized_rho,
-            self.frequency_mhz,
-            max(1, min(trace.n_packets, _QUEUE_SIM_ARRIVALS)),
-            seed=self.batches_served,
-        )
-        wait_ns = float(waits.mean())
-        service_ns = s_to_ns(1.0 / mhz_to_hz(self.frequency_mhz))  # one cycle
-        arrivals_per_ns = realized_rho / service_ns
-        registry.gauge(
-            "repro_serve_queue_wait_ns",
-            "Measured mean M/D/1 input-queue wait of the last batch "
-            "at the realized (post-shedding) load",
-            labels=("scheme",),
-        ).labels(scheme).set(wait_ns)
-        registry.gauge(
-            "repro_serve_queue_depth_measured",
-            "Measured mean queue occupancy at the realized load, "
-            "packets (all engines, Little's law over simulated waits)",
-            labels=("scheme",),
-        ).labels(scheme).set(self.n_engines * arrivals_per_ns * wait_ns)
+        self._publish_queue_wait(trace)
 
     def _record_fault_state(
         self, trace: ServeTrace, faults: ActiveFaults | None

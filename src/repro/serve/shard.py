@@ -11,14 +11,6 @@ and ships every shard its contiguous sub-batch over a
 :func:`multiprocessing.Pipe`; shard-local VNIDs are the global ones
 rebased to the shard's range.
 
-Besides serving, every shard **measures its own queue**: per batch it
-simulates the M/D/1 input queue at its configured utilization via the
-Lindley recursion (:func:`repro.virt.queueing.simulate_md1_waits`,
-seeded per (shard, batch) so the whole surface is replayable) and
-returns a :class:`~repro.virt.queueing.QueueValidation` scoring the
-measured mean wait against the analytical prediction — the
-model-vs-observed error the acceptance gate bounds.
-
 The worker protocol is a strict request/reply alternation per pipe
 (the frontend serializes access through one dispatcher per shard):
 
@@ -53,7 +45,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import RegistrySnapshot, snapshot_registry
 from repro.obs.tracing import Tracer
 from repro.serve.service import LookupService, ServeTrace
-from repro.virt.queueing import QueueValidation, simulate_md1_waits, validate_md1
 from repro.virt.schemes import Scheme
 
 __all__ = [
@@ -89,7 +80,13 @@ class ShardConfig:
 
 @dataclass(frozen=True)
 class ShardBatchRequest:
-    """One sub-batch offered to a shard (local VNIDs, arrival order)."""
+    """One sub-batch offered to a shard (local VNIDs, arrival order).
+
+    ``queue_seed`` is a per-(shard, batch) seed the frontend derives
+    (``batch_index × n_shards + shard_id``).  The shard ignores it; it
+    stays because the serving benchmark builds requests with it and
+    seeds its own M/D/1 timing section from it.
+    """
 
     batch_index: int
     addresses: np.ndarray
@@ -99,12 +96,11 @@ class ShardBatchRequest:
 
 @dataclass(frozen=True)
 class ShardBatchResult:
-    """One shard's answer: results, trace, and its measured queue."""
+    """One shard's answer: results and trace."""
 
     shard_id: int
     results: np.ndarray
     trace: ServeTrace
-    queue: QueueValidation
 
 
 class ShardRuntime:
@@ -138,49 +134,14 @@ class ShardRuntime:
 
         The service's batch clock is pinned to the frontend's index
         before serving so every shard consults its scoped fault plan
-        at the same schedule position, and the queue simulation is
-        seeded from the request — identical requests produce identical
-        results, traces and measured waits.
+        at the same schedule position — identical requests produce
+        identical results and traces.
         """
         self.service.batches_served = request.batch_index
         results, trace = self.service.serve(request.addresses, request.vnids)
-        queue = self._measure_queue(request)
         return ShardBatchResult(
-            shard_id=self.config.shard_id,
-            results=results,
-            trace=trace,
-            queue=queue,
+            shard_id=self.config.shard_id, results=results, trace=trace
         )
-
-    def _measure_queue(self, request: ShardBatchRequest) -> QueueValidation:
-        """Simulate this batch's input queue and score it against M/D/1.
-
-        Reads the *live* service state, not the frozen config — a
-        governor reconfig changes both the offered fraction and the
-        clock, and the measured queue must track the operating point
-        actually in force.
-        """
-        rho = self.service.offered_load_fraction
-        frequency_mhz = self.service.frequency_mhz
-        waits = simulate_md1_waits(
-            rho,
-            frequency_mhz,
-            max(1, len(request.addresses)),
-            request.queue_seed,
-        )
-        validation = validate_md1(rho, frequency_mhz, float(waits.mean()))
-        if self.registry.enabled:
-            self.registry.gauge(
-                "repro_shard_queue_wait_ns",
-                "Measured mean M/D/1 input-queue wait of the last batch",
-                labels=("scheme",),
-            ).labels(self.config.scheme.name).set(validation.observed_wait_ns)
-            self.registry.gauge(
-                "repro_shard_queue_error",
-                "Relative error of the measured queue wait vs the M/D/1 model",
-                labels=("scheme",),
-            ).labels(self.config.scheme.name).set(validation.relative_error)
-        return validation
 
     def snapshot(self) -> RegistrySnapshot:
         """Shard-labeled snapshot of the private registry."""

@@ -12,8 +12,7 @@ Subcommands
     Any mismatch, shard crash or unclean shutdown exits non-zero.
 ``run [--rho 0.8] [--fault-seed N]``
     The same tier as an inspectable demo: serve one large batch, print
-    the per-shard M/D/1 queue validations, the degradation ledger and
-    the merged exposition.
+    the served/shed summary and the merged exposition.
 
 Both commands build the same synthetic tables the other CLIs use
 (``--prefixes``, ``--seed``); the tier's behaviour — admission,
@@ -115,14 +114,6 @@ async def _run(args: argparse.Namespace) -> int:
             f"served {int(np.count_nonzero(results != SHED_RESULT))}/{len(results)} "
             f"lookups over {args.shards} shard(s) (shed {trace.n_shed})"
         )
-        for shard, validation in sorted(service.queue_validations.items()):
-            print(
-                f"shard {shard}: M/D/1 wait observed "
-                f"{validation.observed_wait_ns:8.1f} ns, predicted "
-                f"{validation.predicted_wait_ns:8.1f} ns "
-                f"(rel err {validation.relative_error:.1%} at "
-                f"rho={validation.utilization:.2f})"
-            )
         merged = await service.merged_snapshot()
     print(render_prometheus(restore_registry(merged)), end="")
     return 0

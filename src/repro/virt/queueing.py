@@ -33,8 +33,6 @@ __all__ = [
     "scheme_latency_ns",
     "degraded_latency_ns",
     "simulate_md1_waits",
-    "QueueValidation",
-    "validate_md1",
 ]
 
 
@@ -193,7 +191,7 @@ def simulate_md1_waits(
     n_arrivals: int,
     seed: int,
 ) -> np.ndarray:
-    """Measured per-packet M/D/1 queueing waits via the Lindley recursion.
+    """Simulated per-packet M/D/1 queueing waits via the Lindley recursion.
 
     Where :func:`md1_wait_ns` gives the *model's* steady-state mean,
     this simulates the queue itself: Poisson arrivals at rate
@@ -204,15 +202,14 @@ def simulate_md1_waits(
 
     with service time ``S = 1/f`` and exponential inter-arrival gaps
     ``A_k``.  Vectorized as the reflected random walk
-    ``W_k = C_k − min_{j≤k} C_j`` over ``C = cumsum(S − A)``, so a
-    shard can simulate tens of thousands of arrivals per batch at
-    numpy speed.  Deterministic in ``seed`` — the sharded tier derives
-    one seed per (shard, batch), keeping the whole measured-queue
-    surface replayable.
+    ``W_k = C_k − min_{j≤k} C_j`` over ``C = cumsum(S − A)``, so tens
+    of thousands of arrivals simulate at numpy speed.  Deterministic in
+    ``seed``.  A model utility, not a serve-path measurement: the tiers
+    publish :func:`md1_wait_ns` in closed form, and the unit suite
+    checks this simulation's mean against it.
 
     Returns the per-arrival waits in nanoseconds (length
-    ``n_arrivals``); their mean is the *observed* counterpart of
-    :func:`md1_wait_ns` that :func:`validate_md1` compares against.
+    ``n_arrivals``).
     """
     if not 0.0 <= utilization < 1.0:
         raise CapacityError(
@@ -232,41 +229,3 @@ def simulate_md1_waits(
     walk = np.concatenate(([0.0], np.cumsum(steps)))
     waits = walk - np.minimum.accumulate(walk)
     return waits[1:]
-
-
-@dataclass(frozen=True)
-class QueueValidation:
-    """Model-vs-measured comparison of one engine queue's mean wait.
-
-    The sharded tier publishes one of these per shard per batch: the
-    M/D/1 *predicted* mean wait at the shard's utilization, the
-    *observed* mean wait of the simulated (or measured) queue, and the
-    relative error between them — the quantity the acceptance gate
-    bounds at 15% for ρ ≤ 0.8.
-    """
-
-    utilization: float
-    predicted_wait_ns: float
-    observed_wait_ns: float
-
-    @property
-    def relative_error(self) -> float:
-        """``|observed − predicted| / predicted`` (0 when both are 0)."""
-        if self.predicted_wait_ns <= 0.0:
-            return 0.0 if self.observed_wait_ns <= 0.0 else float("inf")
-        return abs(self.observed_wait_ns - self.predicted_wait_ns) / (
-            self.predicted_wait_ns
-        )
-
-
-def validate_md1(
-    utilization: float,
-    frequency_mhz: float,
-    observed_wait_ns: float,
-) -> QueueValidation:
-    """Score an observed mean queue wait against the M/D/1 prediction."""
-    return QueueValidation(
-        utilization=utilization,
-        predicted_wait_ns=md1_wait_ns(utilization, frequency_mhz),
-        observed_wait_ns=float(observed_wait_ns),
-    )

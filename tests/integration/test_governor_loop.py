@@ -20,8 +20,8 @@ Pins the governor milestone's contract (the *offline* planner of
 
 Telemetry regressions ride along: the power sampler must observe the
 batch's *measured* duty cycle (not the configured offered-load
-fraction), and the queue gauges must separate the modeled occupancy at
-the configured load from the measured occupancy at the realized load.
+fraction), and the queue-wait gauge must be the M/D/1 closed form at
+the batch's realized (post-shedding) load, labelled modeled.
 """
 
 import asyncio
@@ -307,7 +307,7 @@ class TestTelemetryRegressions:
         assert sampler.running_total_w == pytest.approx(expected)
         assert sampler.running_total_w != pytest.approx(wrong, rel=1e-3)
 
-    def test_queue_gauges_split_modeled_from_measured(self):
+    def test_queue_wait_is_md1_at_realized_load(self):
         registry = MetricsRegistry(enabled=True)
         rho = 0.8
         service = LookupService(
@@ -317,25 +317,21 @@ class TestTelemetryRegressions:
             registry=registry,
             tracer=Tracer(enabled=False),
         )
-        service.serve(*_batches(1)[0])
-        modeled = registry.get("repro_serve_queue_depth")
-        measured = registry.get("repro_serve_queue_depth_measured")
+        _, trace = service.serve(*_batches(1)[0])
+        assert trace.n_shed == 0
+        depth = registry.get("repro_serve_queue_depth")
         wait = registry.get("repro_serve_queue_wait_ns")
-        assert modeled is not None and measured is not None and wait is not None
-        expected_model = service.n_engines * rho * rho / (2.0 * (1.0 - rho))
-        assert modeled.labels("VS").value == pytest.approx(expected_model)
-        # the measured side comes from the Lindley simulation: close
-        # to, but never exactly, the analytical value
-        assert measured.labels("VS").value > 0.0
-        assert measured.labels("VS").value == pytest.approx(
-            expected_model, rel=0.25
-        )
-        assert measured.labels("VS").value != modeled.labels("VS").value
-        assert wait.labels("VS").value > 0.0
-        assert "Modeled" in modeled.help
-        assert "measured" in modeled.help
+        assert registry.get("repro_serve_queue_depth_measured") is None
+        expected_depth = service.n_engines * rho * rho / (2.0 * (1.0 - rho))
+        assert depth.labels("VS").value == pytest.approx(expected_depth)
+        # the closed form at the realized load — a nominal batch admits
+        # everything, so that is the configured load, exactly
+        assert wait.labels("VS").value == md1_wait_ns(rho, service.frequency_mhz)
+        for gauge in (depth, wait):
+            assert "Modeled" in gauge.help
+            assert "Measured" not in gauge.help
 
-    def test_measured_queue_tracks_realized_load_under_shedding(self):
+    def test_queue_wait_tracks_realized_load_under_shedding(self):
         from repro.faults import EngineStall, FaultPlan, FaultWindow
 
         registry = MetricsRegistry(enabled=True)
@@ -351,10 +347,9 @@ class TestTelemetryRegressions:
         )
         _, trace = service.serve(*_batches(1)[0])
         assert trace.n_shed > 0
-        modeled = registry.get("repro_serve_queue_depth").labels("VS").value
-        measured = (
-            registry.get("repro_serve_queue_depth_measured").labels("VS").value
-        )
-        # the realized load is below the configured one, so the
-        # measured occupancy must sit clearly under the modeled one
-        assert measured < modeled * 0.9
+        wait = registry.get("repro_serve_queue_wait_ns").labels("VS").value
+        realized = rho * trace.n_admitted / trace.n_packets
+        assert wait == md1_wait_ns(realized, service.frequency_mhz)
+        # shedding lowers the realized load, so the wait sits below
+        # the configured-load value
+        assert wait < md1_wait_ns(rho, service.frequency_mhz)

@@ -105,6 +105,19 @@ class TestSamplerValidation:
         with pytest.raises(ConfigurationError):
             make_sampler(Scheme.VS).sample(trace, duty_cycle=1.5)
 
+    def test_bad_write_rate_rejected(self, tables, batch):
+        _, trace = LookupService(tables, Scheme.VS).serve(*batch)
+        for rate in (-0.01, 1.5):
+            with pytest.raises(ConfigurationError):
+                make_sampler(Scheme.VS).sample(trace, write_rate=rate)
+
+    def test_engine_activity_above_one_rejected(self, tables, batch):
+        _, trace = LookupService(tables, Scheme.VS).serve(*batch)
+        # an engine claiming more lookups than the batch offered
+        object.__setattr__(trace, "n_packets", trace.n_packets // 10)
+        with pytest.raises(ConfigurationError):
+            make_sampler(Scheme.VS).sample(trace)
+
     def test_idle_duty_cycle_is_static_only(self, tables, batch):
         """duty_cycle=0 models an idle device: static watts, zero Gbps."""
         _, trace = LookupService(tables, Scheme.VS).serve(*batch)
@@ -217,3 +230,76 @@ class TestServeInstrumentation:
         # every packet touches at least the root on both structures
         assert values["unibit"] >= 300
         assert values["merged"] >= 300
+
+
+class TestPerBatchCost:
+    """An instrumented batch costs arithmetic, not a re-evaluation.
+
+    The sampler runs the reporter once, at construction; the queue
+    wait is the closed form.  Counters wrapped around
+    ``XPowerAnalyzer.report`` and every module binding of
+    ``simulate_md1_waits`` must stay at zero across metered batches on
+    both tiers.
+    """
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        import sys
+
+        from repro.fpga.power_report import XPowerAnalyzer
+        from repro.virt import queueing
+
+        counts = {"report": 0, "simulate_md1_waits": 0}
+        report = XPowerAnalyzer.report
+        simulate = queueing.simulate_md1_waits
+
+        def counted_report(self, *args, **kwargs):
+            counts["report"] += 1
+            return report(self, *args, **kwargs)
+
+        def counted_simulate(*args, **kwargs):
+            counts["simulate_md1_waits"] += 1
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(XPowerAnalyzer, "report", counted_report)
+        for module in list(sys.modules.values()):
+            if getattr(module, "simulate_md1_waits", None) is simulate:
+                monkeypatch.setattr(module, "simulate_md1_waits", counted_simulate)
+        return counts
+
+    def test_sync_tier(self, tables, batch, calls):
+        sampler = make_sampler(Scheme.VS, registry=MetricsRegistry())
+        calls["report"] = 0
+        service = LookupService(
+            tables,
+            Scheme.VS,
+            registry=MetricsRegistry(enabled=True),
+            power_sampler=sampler,
+        )
+        for _ in range(3):
+            service.serve(*batch)
+        assert sampler.batches_observed == 3
+        assert calls == {"report": 0, "simulate_md1_waits": 0}
+
+    def test_inline_sharded_tier(self, tables, batch, calls):
+        import asyncio
+
+        from repro.serve import ShardedLookupService
+
+        sampler = make_sampler(Scheme.VS, registry=MetricsRegistry())
+        calls["report"] = 0
+
+        async def go():
+            async with ShardedLookupService(
+                tables,
+                Scheme.VS,
+                transport="inline",
+                registry=MetricsRegistry(enabled=True),
+                power_sampler=sampler,
+            ) as service:
+                for _ in range(3):
+                    await service.serve(*batch)
+
+        asyncio.run(go())
+        assert sampler.batches_observed == 3
+        assert calls == {"report": 0, "simulate_md1_waits": 0}

@@ -1,9 +1,10 @@
 """Queueing latency model (repro.virt.queueing)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.virt.queueing import md1_wait_ns, scheme_latency_ns
+from repro.virt.queueing import md1_wait_ns, scheme_latency_ns, simulate_md1_waits
 
 
 class TestMD1:
@@ -28,6 +29,32 @@ class TestMD1:
     def test_rejects_bad_frequency(self):
         with pytest.raises(ConfigurationError):
             md1_wait_ns(0.5, 0)
+
+
+class TestLindleySimulation:
+    @pytest.mark.parametrize("rho", [0.5, 0.8])
+    def test_mean_wait_within_15pct_of_md1(self, rho):
+        """The simulated queue's mean wait agrees with the closed form
+        within 15% at ρ ≤ 0.8 over 50,000 arrivals."""
+        waits = simulate_md1_waits(rho, 200.0, 50_000, seed=7)
+        predicted = md1_wait_ns(rho, 200.0)
+        assert abs(waits.mean() - predicted) / predicted <= 0.15
+
+    def test_same_seed_same_waits(self):
+        a = simulate_md1_waits(0.6, 200.0, 4096, seed=3)
+        b = simulate_md1_waits(0.6, 200.0, 4096, seed=3)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, simulate_md1_waits(0.6, 200.0, 4096, seed=4))
+
+    def test_zero_load_waits_are_zero(self):
+        waits = simulate_md1_waits(0.0, 200.0, 100, seed=1)
+        assert waits.shape == (100,)
+        assert not waits.any()
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5])
+    def test_saturated_queue_raises(self, rho):
+        with pytest.raises(CapacityError):
+            simulate_md1_waits(rho, 200.0, 100, seed=1)
 
 
 class TestSchemeLatency:

@@ -7,6 +7,7 @@ from repro.faults.injectors import BramWriteStorm, EngineStall, TransientWalkFai
 from repro.faults.plan import FaultPlan, FaultWindow
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
 from repro.serve.shard import ShardBatchRequest, ShardConfig, ShardRuntime
+from repro.virt.queueing import md1_wait_ns
 from repro.virt.schemes import Scheme
 
 K = 4
@@ -54,18 +55,20 @@ class TestShardRuntime:
         a = ShardRuntime(_config(tables, 0, 2)).serve(_request(2))
         b = ShardRuntime(_config(tables, 0, 2)).serve(_request(2))
         assert np.array_equal(a.results, b.results)
-        assert a.queue == b.queue
         assert a.trace.vn_counts == b.trace.vn_counts
 
-    def test_queue_validation_published(self, tables):
+    def test_publishes_modeled_queue_wait_only(self, tables):
         runtime = ShardRuntime(_config(tables, 0, 2))
-        result = runtime.serve(_request(2, n=20_000))
-        assert result.queue.utilization == pytest.approx(0.5)
-        assert result.queue.relative_error < 0.5
+        runtime.serve(_request(2, n=20_000))
         snapshot = runtime.snapshot()
         names = {f.name for f in snapshot.families}
-        assert "repro_shard_queue_wait_ns" in names
-        assert "repro_shard_queue_error" in names
+        # the shard's own LookupService publishes the closed-form wait;
+        # the per-sub-batch queue simulation and its gauges are gone
+        assert "repro_serve_queue_wait_ns" in names
+        assert "repro_shard_queue_wait_ns" not in names
+        assert "repro_shard_queue_error" not in names
+        wait = runtime.registry.get("repro_serve_queue_wait_ns").labels("VS").value
+        assert wait == md1_wait_ns(0.5, runtime.service.frequency_mhz)
 
     def test_batch_clock_pinned_to_frontend_index(self, tables):
         """The same shard must consult its fault plan at the frontend's
