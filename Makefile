@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-drift lint-baseline bench bench-smoke bench-gate bench-figures figures experiments experiments-md examples obs-demo faults-smoke serve-smoke governor-demo tables-demo docs-check clean
+.PHONY: install test lint lint-drift lint-baseline bench-ab bench-figures figures experiments experiments-md examples obs-demo faults-smoke serve-smoke governor-demo tables-demo docs-check clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -33,18 +33,12 @@ lint-baseline:
 	$(PYTHON) -m repro.tools.repro_lint --write-baseline lint-baseline.json \
 		--project-cache $(LINT_CACHE) $(LINT_TREES)
 
-# lookup perf harness: writes BENCH_lookup.json at the repo root
-bench:
-	$(PYTHON) benchmarks/perf/bench_lookup.py
-
-# reduced preset used by the bench-smoke CI job
-bench-smoke:
-	$(PYTHON) benchmarks/perf/bench_lookup.py --smoke
-
-# throughput regression gate: re-run the serve benches at the
-# committed BENCH_lookup.json's config, fail on a >10% ops/s drop
-bench-gate:
-	$(PYTHON) tools/bench_gate.py
+# same-host A/B serving benchmark: perfbench on this checkout and on
+# BASE, alternately; fails when an end-to-end metric is worse than the
+# base by more than its BENCHMARK.json bound (about 7 minutes)
+BASE ?= HEAD~1
+bench-ab:
+	$(PYTHON) tools/perf_ab.py --base $(BASE)
 
 # pytest-benchmark figure reproductions (slow)
 bench-figures:

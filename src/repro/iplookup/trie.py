@@ -48,8 +48,11 @@ class FrozenWalk:
       a parked lane;
     * ``jump`` — a ``2^jump_stride``-entry direct index over the top
       address bits resolving the first ``jump_stride`` levels in one
-      gather (the :class:`~repro.virt.merged.MergedTrie` root jump
-      table, generalized to non-leaf-pushed tries).
+      gather.
+
+    :meth:`walk` is the one batch walk kernel: the per-VN engines
+    gather ``best`` from the nodes it returns, the
+    :class:`~repro.virt.merged.MergedTrie` gathers its NHI matrix.
     """
 
     left: np.ndarray
@@ -61,6 +64,34 @@ class FrozenWalk:
     jump: np.ndarray
     jump_stride: int
     depth: int
+    width: int
+
+    def walk(self, addresses: np.ndarray) -> np.ndarray:
+        """The node each address's walk ends on (or parks on).
+
+        The jump table resolves the first ``jump_stride`` levels with
+        one gather and every remaining level is one gather over the
+        flat self-looping child array, with no per-level masking.
+        Addresses wider than 32 bits exceed the NumPy word size, so
+        they are shifted as Python integers and only the extracted
+        bits and node indices are NumPy integers.
+        """
+        wide = self.width > 32
+        if wide:
+            addr = np.array([int(a) for a in addresses], dtype=object)
+        else:
+            addr = np.asarray(addresses, dtype=np.uint32).astype(np.int64)
+        stride = self.jump_stride
+        if stride:
+            top = addr >> (self.width - stride)
+            node = self.jump[top.astype(np.int64) if wide else top]
+        else:
+            node = np.zeros(len(addr), dtype=np.int64)
+        childflat = self.childflat
+        for lvl in range(stride, self.depth):
+            bit = (addr >> (self.width - 1 - lvl)) & 1
+            node = childflat[(node << 1) | (bit.astype(np.int64) if wide else bit)]
+        return node
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,9 +127,8 @@ class UnibitTrie:
         Optional routing table inserted at construction.
     width:
         Address width in bits: 32 for IPv4 (default), 128 for the
-        IPv6 extension.  The vectorized batch lookup requires
-        ``width <= 32`` (NumPy word size); wider tries fall back to
-        scalar walks.
+        IPv6 extension.  Batch lookups of wider tries shift their
+        addresses as Python integers (see :meth:`FrozenWalk.walk`).
     """
 
     #: root-stride of the frozen jump table (capped at the trie depth)
@@ -365,6 +395,7 @@ class UnibitTrie:
                 jump=jump,
                 jump_stride=stride,
                 depth=depth,
+                width=self.width,
             )
         return self._frozen
 
@@ -396,41 +427,14 @@ class UnibitTrie:
     def walk_batch(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized walk: per-address depth reached and LPM result.
 
-        Runs over the :class:`FrozenWalk` snapshot: the root jump
-        table resolves the first ``jump_stride`` levels with a single
-        gather, every remaining level is one gather over the flat
-        self-looping child array, and the per-lane depth and LPM
-        answer come from two final gathers (``levels`` / ``best``) —
-        no per-call array setup and no per-level masking.  The depth
+        Runs :meth:`FrozenWalk.walk` over the frozen snapshot; the
+        per-lane depth and LPM answer come from two final gathers
+        (``levels`` / ``best``) — no per-call array setup.  The depth
         is the number of levels the walk descended — the quantity the
         pipeline simulator converts into per-stage memory accesses.
-        Tries wider than 32 bits (the IPv6 extension) fall back to
-        scalar walks — their addresses exceed the NumPy word size.
         """
-        if self.width > 32:
-            n = len(addresses)
-            depths6 = np.zeros(n, dtype=np.int64)
-            results6 = np.empty(n, dtype=np.int64)
-            for i, a in enumerate(addresses):
-                depths6[i], results6[i] = self._walk_scalar(int(a))
-            if REGISTRY.enabled:
-                REGISTRY.counter(
-                    "repro_trie_node_visits_total",
-                    "Trie nodes touched by batch walks (root included)",
-                    labels=("structure",),
-                ).labels("unibit").inc(int(depths6.sum()) + n)
-            return depths6, results6
         frozen = self._freeze()
-        addresses = np.asarray(addresses, dtype=np.uint32)
-        addr64 = addresses.astype(np.int64)
-        stride = frozen.jump_stride
-        if stride:
-            node = frozen.jump[addr64 >> (self.width - stride)]
-        else:
-            node = np.zeros(len(addresses), dtype=np.int64)
-        childflat = frozen.childflat
-        for lvl in range(stride, frozen.depth):
-            node = childflat[(node << 1) | ((addr64 >> (self.width - 1 - lvl)) & 1)]
+        node = frozen.walk(addresses)
         depths = frozen.levels[node]
         best = frozen.best[node]
         if REGISTRY.enabled:  # one branch per batch; zero overhead off
@@ -438,7 +442,7 @@ class UnibitTrie:
                 "repro_trie_node_visits_total",
                 "Trie nodes touched by batch walks (root included)",
                 labels=("structure",),
-            ).labels("unibit").inc(int(depths.sum()) + len(addresses))
+            ).labels("unibit").inc(int(depths.sum()) + len(node))
         return depths, best
 
     def lookup_batch(self, addresses: np.ndarray) -> np.ndarray:

@@ -138,9 +138,9 @@ def parse_prometheus_text(
 
     Returns ``{family: {"type": ..., "help": ..., "samples":
     [(sample_name, labels_dict, value), ...]}}``.  Every sample line
-    must parse, carry a numeric value, and extend a family announced
-    by a preceding ``# TYPE`` line — the validation the integration
-    tests rely on.
+    must parse, carry a numeric value, name each label once, and
+    extend a family announced by a preceding ``# TYPE`` line — the
+    validation the integration tests rely on.
     """
     families: dict[str, dict[str, object]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,7 +181,10 @@ def parse_prometheus_text(
             raise ObservabilityError(
                 f"line {lineno}: sample {sample_name!r} has no preceding TYPE line"
             )
-        labels = dict(_LABEL_PAIR.findall(match.group("labels") or ""))
+        pairs = _LABEL_PAIR.findall(match.group("labels") or "")
+        labels = dict(pairs)
+        if len(labels) != len(pairs):
+            raise ObservabilityError(f"line {lineno}: duplicate label name: {raw!r}")
         try:
             value = _parse_value(match.group("value"))
         except ValueError as error:

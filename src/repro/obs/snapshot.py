@@ -9,10 +9,11 @@ current value (histograms keep their exact per-bucket counts, so the
 round trip is lossless).
 
 Snapshots taken with a ``shard`` identity carry it as a real ``shard``
-label appended to every sample — *at snapshot time, not registration
-time*, so the in-process metric catalog (``docs/OBSERVABILITY.md``)
-is unchanged and a single-process registry renders byte-identically
-with or without this module.  :func:`merge_snapshots` unions
+label appended to every sample of every family that does not already
+carry one — *at snapshot time, not registration time*, so the
+in-process metric catalog (``docs/OBSERVABILITY.md``) is unchanged and
+a single-process registry renders byte-identically with or without
+this module.  :func:`merge_snapshots` unions
 shard-labeled snapshots into one, refusing silent collisions, and
 :func:`restore_registry` rebuilds a plain registry from any snapshot
 so the existing exporters (:mod:`repro.obs.export`) render the merged
@@ -170,12 +171,15 @@ def snapshot_registry(
 
     With ``shard`` set, a ``shard`` label (the stringified identity)
     is appended to every family's label set and every sample — the
-    merge key that keeps cross-process scrape-merge lossless.
+    merge key that keeps cross-process scrape-merge lossless.  A
+    family that already carries a ``shard`` label names the shard of
+    each sample itself and is left as it is: a label name may appear
+    only once per sample.
     """
-    shard_value = None if shard is None else str(shard)
     families = []
     for family in registry.collect():
         label_names = family.label_names
+        shard_value = None if shard is None or "shard" in label_names else str(shard)
         if shard_value is not None:
             label_names = (*label_names, "shard")
         samples = []
@@ -202,7 +206,9 @@ def snapshot_registry(
                 samples=tuple(samples),
             )
         )
-    return RegistrySnapshot(families=tuple(families), shard=shard_value)
+    return RegistrySnapshot(
+        families=tuple(families), shard=None if shard is None else str(shard)
+    )
 
 
 def restore_registry(snapshot: RegistrySnapshot) -> MetricsRegistry:

@@ -16,7 +16,9 @@ validate → admit → partition → walk → scatter → account):
 Every serve returns the results plus a :class:`ServeTrace` carrying
 per-stage activity and a queueing-latency estimate, so throughput,
 latency and the power models' duty-cycle inputs flow from one call.
-:mod:`repro.serve.perf` is the timing harness behind ``make bench``.
+Both tiers are measured from outside by the serving benchmark
+(``perfbench/``), and ``tools/perf_ab.py`` gates a change against its
+base commit on the same host; see ``docs/SERVING.md``.
 
 While the observability layer is enabled (:func:`repro.obs.enable`)
 the serve path also publishes per-batch metrics, spans and — with a

@@ -74,28 +74,14 @@ class MergedTrie:
     must be dropped on every mutating insert/remove.
     """
 
-    #: root-stride of the precomputed jump table (a 2^s-entry direct
-    #: index over the top s address bits, skipping the first s levels
-    #: of the walk — the same idea as a multibit root table).  The
-    #: table itself now comes from the structure's shared
-    #: :class:`~repro.iplookup.trie.FrozenWalk`, whose stride is
-    #: :attr:`UnibitTrie.JUMP_STRIDE`; this mirror is kept for
-    #: documentation and so existing consumers can read the stride.
-    JUMP_STRIDE = UnibitTrie.JUMP_STRIDE
-
     __slots__ = (
         "structure",
         "k",
         "_vectors",
         "union_input_nodes",
         "sum_input_nodes",
-        "_childflat",
-        "_leaf",
-        "_levels",
+        "_frozen",
         "_nhi_matrix",
-        "_depth",
-        "_jump",
-        "_jump_stride",
     )
 
     def __init__(
@@ -115,35 +101,25 @@ class MergedTrie:
         self.sum_input_nodes = sum_input_nodes
         # freeze the lookup arrays once — the structure is immutable
         # (see class docstring), so no per-call revalidation is needed.
-        # The per-VN engines share the exact same FrozenWalk layout
-        # (flat self-looping child array, levels, root jump table);
-        # for a full trie the frozen arrays carry no parked nodes, so
-        # every walk lands on a real leaf index, which is what lets
-        # the 2-D NHI gather below index the leaf's vector directly.
+        # The walk is the per-VN engines' FrozenWalk kernel; for a full
+        # trie the frozen arrays carry no parked nodes, so every walk
+        # lands on a real leaf index, which is what lets the 2-D NHI
+        # gather in walk_batch index the leaf's vector directly.
         frozen = structure._freeze()
-        left, right = frozen.left, frozen.right
-        n_nodes = len(left)
+        n_nodes = len(frozen.left)
         if len(frozen.childflat) != 2 * n_nodes:
             raise MergeError(
                 "merged structure must be full (leaf-pushed): a node with "
                 "exactly one child cannot carry a per-leaf NHI vector"
             )
-        self._leaf = left == NONE  # full trie: leaf iff left child missing
-        self._depth = frozen.depth
-        self._levels = frozen.levels
-        self._childflat = frozen.childflat
-        leaves = np.flatnonzero(self._leaf)
+        self._frozen = frozen
         self._nhi_matrix = np.full((n_nodes, k), NO_ROUTE, dtype=np.int64)
-        for node in leaves:
+        # full trie: leaf iff left child missing
+        for node in np.flatnonzero(frozen.left == NONE):
             vector = vectors[node]
             if vector is None:
                 raise MergeError(f"leaf node {node} is missing its NHI vector")
             self._nhi_matrix[node] = vector
-        # jump table over the top s bits: entry p is the node reached
-        # after walking the s-bit pattern p from the root (or the leaf
-        # the walk parked on above level s).
-        self._jump_stride = frozen.jump_stride
-        self._jump = frozen.jump
 
     # -- merging efficiency ------------------------------------------------
 
@@ -193,7 +169,7 @@ class MergedTrie:
         node = 0
         level = 0
         while not trie.is_leaf(node):
-            bit = (address >> (31 - level)) & 1
+            bit = (address >> (trie.width - 1 - level)) & 1
             node = trie.right(node) if bit else trie.left(node)
             level += 1
         return int(self._vectors[node][vnid])
@@ -206,34 +182,24 @@ class MergedTrie:
         Returns per-pair ``(depths, results)``: the level of the leaf
         each address lands on (stages the shared engine touches) and
         the VN's next hop gathered from that leaf's K-wide vector.
-        The jump table resolves the first ``s`` levels with one
-        gather; the remaining levels are one gather each over the
-        flat self-looping child array; depths come from the frozen
-        node-level array and results from a single 2-D NumPy gather
-        ``nhi_matrix[leaf, vnid]`` — no per-packet Python anywhere.
+        The walk is :meth:`~repro.iplookup.trie.FrozenWalk.walk`;
+        depths come from the frozen node-level array and results from
+        a single 2-D NumPy gather ``nhi_matrix[leaf, vnid]`` — no
+        per-packet Python on tries up to 32 bits wide.
         """
-        addresses = np.asarray(addresses, dtype=np.uint32)
         vnids = np.asarray(vnids, dtype=np.int64)
-        if addresses.shape != vnids.shape:
+        if np.shape(addresses) != vnids.shape:
             raise MergeError("addresses and vnids must have the same shape")
-        if len(addresses) and (vnids.min() < 0 or vnids.max() >= self.k):
+        if len(vnids) and (vnids.min() < 0 or vnids.max() >= self.k):
             raise MergeError("vnid out of range")
-        addr64 = addresses.astype(np.int64)
-        stride = self._jump_stride
-        if stride:
-            node = self._jump[addr64 >> (32 - stride)]
-        else:
-            node = np.zeros(len(addresses), dtype=np.int64)
-        childflat = self._childflat
-        for lvl in range(stride, self._depth):
-            node = childflat[(node << 1) | ((addr64 >> (31 - lvl)) & 1)]
-        depths = self._levels[node]
+        node = self._frozen.walk(addresses)
+        depths = self._frozen.levels[node]
         if REGISTRY.enabled:  # one branch per batch; zero overhead off
             REGISTRY.counter(
                 "repro_trie_node_visits_total",
                 "Trie nodes touched by batch walks (root included)",
                 labels=("structure",),
-            ).labels("merged").inc(int(depths.sum()) + len(addresses))
+            ).labels("merged").inc(int(depths.sum()) + len(node))
         return depths, self._nhi_matrix[node, vnids]
 
     def lookup_batch(self, addresses: np.ndarray, vnids: np.ndarray) -> np.ndarray:

@@ -29,7 +29,9 @@ from repro.faults.injectors import BramWriteStorm, EngineStall
 from repro.faults.plan import FaultPlan, FaultWindow
 from repro.faults.policy import SHED_RESULT, DegradationPolicy
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
+from repro.obs.export import parse_prometheus_text, render_prometheus
 from repro.obs.registry import MetricsRegistry
+from repro.obs.snapshot import restore_registry
 from repro.obs.tracing import Tracer
 from repro.serve import LookupService, ShardedLookupService, shard_vn_bounds
 from repro.virt.schemes import Scheme
@@ -308,6 +310,26 @@ class TestMergedMetricsConsistency:
         label_index = family.label_names.index("shard")
         shards = {s.labels[label_index] for s in family.samples}
         assert shards == {"0", "1"}
+
+    def test_merged_exposition_parses_with_unique_labels(self, tables):
+        """The whole merged exposition is valid Prometheus text: the
+        frontend's own per-shard families keep their single ``shard``
+        label instead of gaining ``shard="frontend"`` on top of it."""
+
+        async def go():
+            async with _service(tables) as svc:
+                addresses, vnids = _batch(1000)
+                await svc.serve(addresses, vnids)
+                return await svc.merged_snapshot()
+
+        text = render_prometheus(restore_registry(run(go())))
+        families = parse_prometheus_text(text)
+        depth = families["repro_frontend_queue_depth"]["samples"]
+        assert sorted(labels["shard"] for _, labels, _ in depth) == ["0", "1"]
+        lookups = families["repro_serve_lookups_total"]["samples"]
+        assert {labels["shard"] for _, labels, _ in lookups} == {"0", "1"}
+        frontend = families["repro_frontend_batches_total"]["samples"]
+        assert [labels["shard"] for _, labels, _ in frontend] == ["frontend"]
 
     def test_scrape_includes_frontend_registry(self, tables):
         async def go():

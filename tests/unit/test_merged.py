@@ -153,6 +153,19 @@ class TestMergeWidths:
         assert merged.structure.depth() == 48
         assert 0.0 < merged.global_alpha <= 0.5
 
+    def test_v6_merged_lookups_match_the_per_vn_tries(self):
+        from repro.iplookup.prefix6 import parse_prefix6
+
+        tries = [UnibitTrie(t, width=128) for t in self._v6_tables()]
+        merged = merge_tries(tries)
+        address = parse_prefix6("2001:db8:1::5/128").value
+        expected = [trie.lookup(address) for trie in tries]
+        assert expected == [2, 3]
+        assert [merged.lookup(address, vn) for vn in (0, 1)] == expected
+        depths, results = merged.walk_batch([address, address], [0, 1])
+        assert results.tolist() == expected
+        assert depths.tolist() == [48, 48]
+
     def test_mixed_width_merge_is_rejected(self):
         t1, _ = self._v6_tables()
         v4 = RoutingTable.from_strings([("10.0.0.0/8", 1)])

@@ -116,6 +116,10 @@ class TestPrometheusParser:
         with pytest.raises(ObservabilityError):
             parse_prometheus_text("# TYPE g gauge\n}{ 1.0\n")
 
+    def test_duplicate_label_name_rejected(self):
+        with pytest.raises(ObservabilityError, match="duplicate label"):
+            parse_prometheus_text('# TYPE g gauge\ng{shard="0",shard="frontend"} 1.0\n')
+
     def test_comments_and_blanks_ignored(self):
         parsed = parse_prometheus_text("\n# a comment\n# TYPE g gauge\ng 1.0\n\n")
         assert parsed["g"]["samples"] == [("g", {}, 1.0)]

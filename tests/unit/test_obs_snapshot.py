@@ -76,6 +76,15 @@ class TestShardLabel:
             for sample in family.samples:
                 assert sample.labels[-1] == "2"
 
+    def test_family_with_its_own_shard_label_is_not_relabeled(self):
+        registry = MetricsRegistry(enabled=True)
+        registry.gauge("repro_test_queue", "Queue", labels=("scheme", "shard")).labels(
+            "VS", "1"
+        ).set(2.0)
+        (family,) = snapshot_registry(registry, shard="frontend").families
+        assert family.label_names == ("scheme", "shard")
+        assert [s.labels for s in family.samples] == [("VS", "1")]
+
     def test_unlabeled_snapshot_is_catalog_shaped(self):
         """Without a shard identity the snapshot must not add labels —
         the OBS catalog's label sets stay valid."""
