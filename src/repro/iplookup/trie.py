@@ -4,9 +4,13 @@ The paper maps one trie level to one pipeline stage (Section V-D), so
 the trie is the structure from which all per-stage memory statistics
 derive.  Nodes are stored in parallel arrays (structure-of-arrays)
 rather than linked objects: child links are integer indices, which
-keeps builds allocation-light and lets batch lookups run as NumPy
-gather loops over levels — 32 vectorized steps instead of a Python
-loop per packet (see the HPC guide on vectorizing for-loops).
+keeps builds allocation-light and lets batch lookups run as a few
+NumPy gathers per batch instead of a Python loop per packet: a 16-bit
+root jump, then 8-bit stride tables down to level 32 (controlled
+prefix expansion, the paper's reference [16]) and one gather per
+level below that.  The walk's final node is the one a bit-by-bit walk
+stops on, so depths — the per-stage activity the power model reads —
+stay those of the uni-bit, level-per-stage pipeline.
 
 Node index 0 is always the root.  A node is a *leaf* when it has no
 children; next-hop information (NHI) may sit on any node in a plain
@@ -37,32 +41,41 @@ class FrozenWalk:
 
     Built once by :meth:`UnibitTrie._freeze` (and dropped on any
     mutating insert/remove); every array is laid out so the batch walk
-    is one gather per level with no per-call setup:
+    needs no per-call setup:
 
-    * ``childflat`` — child indices indexed ``(node << 1) | bit``;
+    * ``jump`` — a ``2^jump_stride``-entry direct index over the top
+      address bits resolving the first ``jump_stride`` levels in one
+      gather;
+    * ``rowbase`` / ``delta`` — the stride tables: ``strides`` lists
+      each ``(level, bits)`` step below the jump, down to
+      :attr:`UnibitTrie.STRIDE_CAP`.  Every node at a step's level
+      that has a child owns one row of ``2^bits`` entries starting at
+      ``rowbase[node]``; entry ``p`` is ``target - node``, where
+      ``target`` is the node a walk of bit pattern ``p`` reaches (or
+      parks on).  Every other node has ``rowbase`` 0, and row 0 is
+      all zeros, so a lane that has stopped stays where it is;
+    * ``childflat`` — child indices indexed ``(node << 1) | bit``,
+      walked one level per gather below the strides (128-bit tries);
       a missing child self-loops, so a lane whose walk terminated
       parks on its last real node and needs no masking;
     * ``best`` — per node, the NHI of the nearest ancestor-or-self
       carrying one (the LPM answer for any lane parked there);
     * ``levels`` — per node depth, which doubles as the walk depth of
-      a parked lane;
-    * ``jump`` — a ``2^jump_stride``-entry direct index over the top
-      address bits resolving the first ``jump_stride`` levels in one
-      gather.
+      a parked lane.
 
     :meth:`walk` is the one batch walk kernel: the per-VN engines
     gather ``best`` from the nodes it returns, the
     :class:`~repro.virt.merged.MergedTrie` gathers its NHI matrix.
     """
 
-    left: np.ndarray
-    right: np.ndarray
-    nhi: np.ndarray
     levels: np.ndarray
     childflat: np.ndarray
     best: np.ndarray
     jump: np.ndarray
     jump_stride: int
+    rowbase: np.ndarray
+    delta: np.ndarray
+    strides: tuple[tuple[int, int], ...]
     depth: int
     width: int
 
@@ -70,8 +83,10 @@ class FrozenWalk:
         """The node each address's walk ends on (or parks on).
 
         The jump table resolves the first ``jump_stride`` levels with
-        one gather and every remaining level is one gather over the
-        flat self-looping child array, with no per-level masking.
+        one gather, each stride step resolves up to
+        :attr:`UnibitTrie.STRIDE` more with one ``delta`` gather, and
+        every level past the strides is one gather over the flat
+        self-looping child array — no per-level masking anywhere.
         Addresses wider than 32 bits exceed the NumPy word size, so
         they are shifted as Python integers and only the extracted
         bits and node indices are NumPy integers.
@@ -81,17 +96,68 @@ class FrozenWalk:
             addr = np.array([int(a) for a in addresses], dtype=object)
         else:
             addr = np.asarray(addresses, dtype=np.uint32).astype(np.int64)
-        stride = self.jump_stride
-        if stride:
-            top = addr >> (self.width - stride)
+        level = self.jump_stride
+        if level:
+            top = addr >> (self.width - level)
             node = self.jump[top.astype(np.int64) if wide else top]
         else:
             node = np.zeros(len(addr), dtype=np.int64)
+        rowbase, delta = self.rowbase, self.delta
+        for start, bits in self.strides:
+            pattern = (addr >> (self.width - start - bits)) & ((1 << bits) - 1)
+            node = node + delta[rowbase[node] | (pattern.astype(np.int64) if wide else pattern)]
+            level = start + bits
         childflat = self.childflat
-        for lvl in range(stride, self.depth):
+        for lvl in range(level, self.depth):
             bit = (addr >> (self.width - 1 - lvl)) & 1
             node = childflat[(node << 1) | (bit.astype(np.int64) if wide else bit)]
         return node
+
+
+#: stride-table rows expanded per gather pass at freeze time; bounds the
+#: build's transient ``rows x 2^stride`` int64 arrays to a few hundred KiB
+_STRIDE_BUILD_ROWS = 128
+
+
+def _stride_tables(
+    childflat: np.ndarray,
+    levels: np.ndarray,
+    has_child: np.ndarray,
+    start: int,
+    stop: int,
+    stride: int,
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """``(rowbase, delta, strides)`` of :class:`FrozenWalk` for levels
+    ``start .. stop`` in ``stride``-bit steps (the last may be shorter).
+
+    ``levels`` and ``has_child`` describe the real nodes; parked nodes
+    (indices past them in ``childflat``) self-loop both ways, as do
+    childless nodes, so neither gets a row.  Row 0 is the shared
+    all-zero row of every rowless node.  Every step but the last has
+    ``2^stride``-entry rows, so each row starts at a multiple of its
+    own width and ``rowbase | pattern`` addresses its entries.
+    """
+    steps = tuple((lvl, min(stride, stop - lvl)) for lvl in range(start, stop, stride))
+    owners = [np.flatnonzero(has_child & (levels == lvl)) for lvl, _ in steps]
+    size = (1 << stride) + sum(len(rows) << bits for rows, (_, bits) in zip(owners, steps))
+    rowbase = np.zeros(len(childflat) // 2, dtype=np.int32)
+    delta = np.zeros(size, dtype=np.int32)
+    pairs = childflat.reshape(-1, 2)
+    base = 1 << stride
+    for rows, (_, bits) in zip(owners, steps):
+        width = 1 << bits
+        rowbase[rows] = base + np.arange(len(rows), dtype=np.int64) * width
+        for first in range(0, len(rows), _STRIDE_BUILD_ROWS):
+            chunk = rows[first : first + _STRIDE_BUILD_ROWS, None]
+            # one level per pass: each column splits into its 0- and
+            # 1-child, appending the next bit to the pattern
+            target = chunk
+            for _ in range(bits):
+                target = pairs[target].reshape(len(chunk), -1)
+            at = base + first * width
+            delta[at : at + chunk.size * width] = (target - chunk).ravel()
+        base += len(rows) * width
+    return rowbase, delta, steps
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +199,11 @@ class UnibitTrie:
 
     #: root-stride of the frozen jump table (capped at the trie depth)
     JUMP_STRIDE = 16
+    #: levels one stride-table gather resolves below the jump
+    STRIDE = 8
+    #: deepest level the stride tables reach; deeper levels (128-bit
+    #: tries) walk one gather per level
+    STRIDE_CAP = 32
 
     __slots__ = (
         "_left",
@@ -344,7 +415,11 @@ class UnibitTrie:
             # best[node] = nearest ancestor-or-self NHI, propagated one
             # level at a time (a child's parent is always one level up,
             # so each level's gather reads already-final values).
-            depth = self.depth()
+            # every allocated slot is reachable or free (see validate),
+            # so this is depth() without the Python preorder walk
+            live = np.ones(n, dtype=bool)
+            live[self._free] = False
+            depth = int(levels[live].max())
             best = nhi.copy()
             order = np.argsort(levels, kind="stable")
             starts = np.searchsorted(levels[order], np.arange(depth + 2))
@@ -375,8 +450,6 @@ class UnibitTrie:
             childflat[1 : 2 * n : 2] = rx
             childflat[2 * n :: 2] = parked
             childflat[2 * n + 1 :: 2] = parked
-            levels_walk = np.concatenate([levels, levels[parked_parents]])
-            best_walk = np.concatenate([best, best[parked_parents]])
             # jump table over the top stride bits: entry p is the node
             # reached (or parked on) after walking bit pattern p.
             stride = min(self.JUMP_STRIDE, depth)
@@ -385,15 +458,18 @@ class UnibitTrie:
             for lvl in range(stride):
                 bits = (patterns >> (stride - 1 - lvl)) & 1
                 jump = childflat[(jump << 1) | bits]
+            rowbase, delta, strides = _stride_tables(
+                childflat, levels, ~childless, stride, min(depth, self.STRIDE_CAP), self.STRIDE
+            )
             self._frozen = FrozenWalk(
-                left=left,
-                right=right,
-                nhi=nhi,
-                levels=levels_walk,
+                levels=np.concatenate([levels, levels[parked_parents]]),
                 childflat=childflat,
-                best=best_walk,
+                best=np.concatenate([best, best[parked_parents]]),
                 jump=jump,
                 jump_stride=stride,
+                rowbase=rowbase,
+                delta=delta,
+                strides=strides,
                 depth=depth,
                 width=self.width,
             )
@@ -457,6 +533,8 @@ class UnibitTrie:
 
     def depth(self) -> int:
         """Maximum *reachable* node level."""
+        if self._frozen is not None:  # a valid snapshot already holds it
+            return self._frozen.depth
         return max(self._level[node] for node in self.live_nodes())
 
     def stats(self) -> TrieStats:

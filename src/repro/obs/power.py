@@ -193,6 +193,7 @@ class PowerTelemetrySampler:
         self._weighted_total_w = 0.0
         self._weighted_vn_w = np.zeros(k)
         self._point = NOMINAL_POINT
+        self._gauges: _PowerGauges | None = None
         #: most recent reading folded in by :meth:`observe` (None until
         #: the first batch); the DVS governor reads it for the
         #: energy-per-lookup surface
@@ -218,6 +219,7 @@ class PowerTelemetrySampler:
         the nominal point every factor is 1 and readings are untouched.
         """
         self._point = point
+        self._gauges = None
 
     # -- sampling -----------------------------------------------------------
 
@@ -383,38 +385,61 @@ class PowerTelemetrySampler:
         registry = self._registry if self._registry is not None else default_registry()
         if not registry.enabled:
             return
-        scheme, grade = sample.scheme.name, sample.grade.name
-        registry.gauge(
+        gauges = self._gauges
+        if gauges is None or gauges.generation != registry.generation:
+            gauges = self._gauges = _PowerGauges(
+                registry, sample.scheme.name, sample.grade.name, self.config.k
+            )
+        gauges.total.set(sample.total_w)
+        for child, watts in zip(
+            gauges.components,
+            (sample.static_w, sample.logic_w, sample.signal_w, sample.bram_w),
+        ):
+            child.set(watts)
+        for child, watts in zip(gauges.per_vn, sample.per_vn_w):
+            child.set(watts)
+        gauges.mw_per_gbps.set(sample.mw_per_gbps)
+        gauges.throughput.set(sample.throughput_gbps)
+
+
+class _PowerGauges:
+    """The gauge children :meth:`PowerTelemetrySampler.publish` sets.
+
+    Resolved once per sampler and reused: re-resolving the families
+    and label children costs a few dict lookups per gauge per batch.
+    Rebuilt after a DVS re-clock and whenever the registry's
+    ``generation`` moves (a reset or clear orphans cached children).
+    """
+
+    def __init__(self, registry: MetricsRegistry, scheme: str, grade: str, k: int):
+        self.generation = registry.generation
+        self.total = registry.gauge(
             "repro_power_total_watts",
             "Modeled total power of the scenario at live activity",
             labels=("scheme", "grade"),
-        ).labels(scheme, grade).set(sample.total_w)
-        component_gauge = registry.gauge(
+        ).labels(scheme, grade)
+        component = registry.gauge(
             "repro_power_component_watts",
             "Power by component (static/logic/signal/bram) at live activity",
             labels=("scheme", "grade", "component"),
         )
-        for component, watts in (
-            ("static", sample.static_w),
-            ("logic", sample.logic_w),
-            ("signal", sample.signal_w),
-            ("bram", sample.bram_w),
-        ):
-            component_gauge.labels(scheme, grade, component).set(watts)
-        vn_gauge = registry.gauge(
+        self.components = tuple(
+            component.labels(scheme, grade, name)
+            for name in ("static", "logic", "signal", "bram")
+        )
+        per_vn = registry.gauge(
             "repro_power_vn_watts",
             "Per-virtual-network power attribution at live activity",
             labels=("scheme", "grade", "vn"),
         )
-        for vn, watts in enumerate(sample.per_vn_w):
-            vn_gauge.labels(scheme, grade, vn).set(watts)
-        registry.gauge(
+        self.per_vn = tuple(per_vn.labels(scheme, grade, vn) for vn in range(k))
+        self.mw_per_gbps = registry.gauge(
             "repro_power_mw_per_gbps",
             "Fig. 8 efficiency metric at live activity (mW per Gbps)",
             labels=("scheme", "grade"),
-        ).labels(scheme, grade).set(sample.mw_per_gbps)
-        registry.gauge(
+        ).labels(scheme, grade)
+        self.throughput = registry.gauge(
             "repro_power_throughput_gbps",
             "Aggregate lookup capacity of the modeled scheme",
             labels=("scheme", "grade"),
-        ).labels(scheme, grade).set(sample.throughput_gbps)
+        ).labels(scheme, grade)

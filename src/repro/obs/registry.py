@@ -279,6 +279,10 @@ class MetricsRegistry:
         self._families: dict[str, MetricFamily] = {}
         self._lock = threading.Lock()
         self.enabled = enabled
+        #: bumped by :meth:`reset` and :meth:`clear`; a caller that
+        #: caches families or label children re-resolves them when it
+        #: changes, since the cached objects are then orphaned
+        self.generation = 0
 
     # -- enablement ---------------------------------------------------------
 
@@ -358,11 +362,13 @@ class MetricsRegistry:
         """Clear every family's children; registrations are kept."""
         for family in self._families.values():
             family.reset()
+        self.generation += 1
 
     def clear(self) -> None:
         """Drop all families entirely (cached family handles go stale)."""
         with self._lock:
             self._families.clear()
+        self.generation += 1
 
 
 #: the process-wide default registry — disabled until something

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -85,7 +85,13 @@ from repro.faults.plan import FaultPlan
 from repro.faults.policy import SHED_RESULT, DegradationPolicy
 from repro.fpga.dvs import NOMINAL_POINT, OperatingPoint
 from repro.iplookup.rib import RoutingTable
-from repro.obs.registry import MetricsRegistry, default_registry
+from repro.obs.registry import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    default_registry,
+)
 from repro.obs.tracing import Span, Tracer, default_tracer
 from repro.serve.stages import (
     EngineGroup,
@@ -122,6 +128,68 @@ def _check_load(fraction: float) -> None:
         raise ConfigurationError(
             "offered_load_fraction must be in [0, 1) for a stable queue"
         )
+
+
+class _TierMetrics:
+    """The gauge children every metered batch of either tier sets.
+
+    Resolved once and reused: looking a family and a label child up
+    costs a few dict lookups per metric per batch.  A tier builds a
+    new one after a re-clock and whenever the registry's
+    ``generation`` moves (a reset or clear orphans cached children).
+    """
+
+    def __init__(self, registry: MetricsRegistry, scheme: str):
+        self.generation = registry.generation
+        self.queue_wait = registry.gauge(
+            "repro_serve_queue_wait_ns",
+            "Modeled mean M/D/1 input-queue wait of the last batch at "
+            "the realized (post-shedding) load, ns",
+            labels=("scheme",),
+        ).labels(scheme)
+        self.duty = registry.gauge(
+            "repro_serve_duty_cycle",
+            "Packet-weighted mean memory duty cycle of the last batch",
+            labels=("scheme",),
+        ).labels(scheme)
+
+
+class _ServeMetrics(_TierMetrics):
+    """:class:`_TierMetrics` plus the single-process service's batch metrics."""
+
+    def __init__(self, registry: MetricsRegistry, scheme: str):
+        super().__init__(registry, scheme)
+        self.scheme = scheme
+        self.batches = registry.counter(
+            "repro_serve_batches_total", "Batches served", labels=("scheme",)
+        ).labels(scheme)
+        self._lookups = registry.counter(
+            "repro_serve_lookups_total",
+            "Lookups served per virtual network",
+            labels=("scheme", "vn"),
+        )
+        # per-VN children are created on a VN's first lookup, so a VN
+        # that never served traffic stays absent from the exposition
+        self._lookups_by_vn: dict[int, Counter | Gauge | Histogram] = {}
+        self.latency = registry.histogram(
+            "repro_serve_batch_latency_seconds",
+            "Host wall-clock time answering one batch",
+            labels=("scheme",),
+        ).labels(scheme)
+        self.queue_depth = registry.gauge(
+            "repro_serve_queue_depth",
+            "Modeled M/D/1 mean queue occupancy at the configured "
+            "offered load, packets (all engines); see "
+            "repro_serve_queue_wait_ns for the wait at the realized load",
+            labels=("scheme",),
+        ).labels(scheme)
+
+    def lookups(self, vn: int) -> Counter | Gauge | Histogram:
+        """The lookups counter child of one VN."""
+        child = self._lookups_by_vn.get(vn)
+        if child is None:
+            child = self._lookups_by_vn[vn] = self._lookups.labels(self.scheme, vn)
+        return child
 
 
 class TierControl:
@@ -178,6 +246,7 @@ class TierControl:
         self.power_sampler = power_sampler
         self._governor: "DvsGovernor | None" = None
         self.batches_served = 0
+        self._metrics: _TierMetrics | None = None
 
     # -- DVS operating point ----------------------------------------------
 
@@ -205,6 +274,7 @@ class TierControl:
         self._operating_point = point
         self.frequency_mhz = self.base_frequency_mhz * scale
         self.offered_load_fraction = min(nominal / scale, max(nominal, _LOAD_CEILING))
+        self._metrics = None
         self._on_reclock(point)
         if self.power_sampler is not None:
             self.power_sampler.set_operating_point(point)
@@ -231,6 +301,18 @@ class TierControl:
         return throughput_gbps(self.frequency_mhz, self.n_engines)
 
     # -- publishing -------------------------------------------------------
+
+    #: the cached metric children this tier's metered batches set
+    _metrics_class: type[_TierMetrics] = _TierMetrics
+
+    def _bound_metrics(self) -> _TierMetrics:
+        """The cached metric children, re-resolved when stale."""
+        metrics = self._metrics
+        if metrics is None or metrics.generation != self._registry.generation:
+            metrics = self._metrics = self._metrics_class(
+                self._registry, self.scheme.name
+            )
+        return metrics
 
     def _validated(
         self, addresses: np.ndarray, vnids: np.ndarray
@@ -266,12 +348,7 @@ class TierControl:
         wait_ns = md1_wait_ns(
             self.offered_load_fraction * admitted, self.frequency_mhz
         )
-        self._registry.gauge(
-            "repro_serve_queue_wait_ns",
-            "Modeled mean M/D/1 input-queue wait of the last batch at "
-            "the realized (post-shedding) load, ns",
-            labels=("scheme",),
-        ).labels(self.scheme.name).set(wait_ns)
+        self._bound_metrics().queue_wait.set(wait_ns)
 
     def _publish_tail(
         self, trace: ServeTrace, span: Span, write_rate: float | None
@@ -285,11 +362,7 @@ class TierControl:
         Returns the power sample, if a sampler is attached.
         """
         duty = trace.mean_duty_cycle()
-        self._registry.gauge(
-            "repro_serve_duty_cycle",
-            "Packet-weighted mean memory duty cycle of the last batch",
-            labels=("scheme",),
-        ).labels(self.scheme.name).set(duty)
+        self._bound_metrics().duty.set(duty)
         sample = None
         if self.power_sampler is not None:
             sample = self.power_sampler.observe(
@@ -390,6 +463,8 @@ class LookupService(TierControl):
         self.group = EngineGroup(tables, scheme, self.n_stages)
         self.distributor = self.group.distributor
         self._nominal_latency: LatencyReport | None = None
+
+    _metrics_class = _ServeMetrics
 
     def _on_reclock(self, point: OperatingPoint) -> None:
         """The nominal latency estimate was taken at the old clock."""
@@ -517,9 +592,13 @@ class LookupService(TierControl):
         elapsed = time.perf_counter() - start
         vn_counts: tuple[int, ...] = ()
         if track_vns:
-            vn_counts = tuple(
-                int(c) for c in np.bincount(vnids, minlength=self.k)
-            )
+            if self.group.merged is None:
+                # NV/VS: engine i walked exactly VN i's slice
+                vn_counts = tuple(t.n_packets for t in traces)
+            else:
+                vn_counts = tuple(
+                    int(c) for c in np.bincount(vnids, minlength=self.k)
+                )
         trace = ServeTrace(
             scheme=self.scheme,
             n_packets=len(addresses),
@@ -532,36 +611,17 @@ class LookupService(TierControl):
 
     def _record_batch(self, trace: ServeTrace) -> None:
         """Publish one served batch into the metrics registry."""
-        registry = self._registry
-        scheme = self.scheme.name
-        registry.counter(
-            "repro_serve_batches_total", "Batches served", labels=("scheme",)
-        ).labels(scheme).inc()
-        lookups = registry.counter(
-            "repro_serve_lookups_total",
-            "Lookups served per virtual network",
-            labels=("scheme", "vn"),
-        )
+        metrics = cast(_ServeMetrics, self._bound_metrics())
+        metrics.batches.inc()
         for vn, count in enumerate(trace.vn_counts):
             if count:
-                lookups.labels(scheme, vn).inc(count)
-        registry.histogram(
-            "repro_serve_batch_latency_seconds",
-            "Host wall-clock time answering one batch",
-            labels=("scheme",),
-        ).labels(scheme).observe(trace.elapsed_s)
+                metrics.lookups(vn).inc(count)
+        metrics.latency.observe(trace.elapsed_s)
         # modeled M/D/1 mean queue occupancy per engine, summed over
         # engines: Lq = rho^2 / (2 (1 - rho)) at the configured
         # offered-load fraction
         rho = self.offered_load_fraction
-        queue_depth = self.n_engines * rho * rho / (2.0 * (1.0 - rho))
-        registry.gauge(
-            "repro_serve_queue_depth",
-            "Modeled M/D/1 mean queue occupancy at the configured "
-            "offered load, packets (all engines); see "
-            "repro_serve_queue_wait_ns for the wait at the realized load",
-            labels=("scheme",),
-        ).labels(scheme).set(queue_depth)
+        metrics.queue_depth.set(self.n_engines * rho * rho / (2.0 * (1.0 - rho)))
         self._publish_queue_wait(trace)
 
     def _record_fault_state(

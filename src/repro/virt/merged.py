@@ -77,7 +77,6 @@ class MergedTrie:
     __slots__ = (
         "structure",
         "k",
-        "_vectors",
         "union_input_nodes",
         "sum_input_nodes",
         "_frozen",
@@ -87,16 +86,18 @@ class MergedTrie:
     def __init__(
         self,
         structure: UnibitTrie,
-        vectors: list[np.ndarray | None],
+        nhi_matrix: np.ndarray,
         k: int,
         union_input_nodes: int,
         sum_input_nodes: int,
     ):
-        if len(vectors) != structure.num_nodes:
-            raise MergeError("one NHI vector slot per structure node required")
+        if nhi_matrix.shape != (structure.num_nodes, k):
+            raise MergeError("one K-wide NHI matrix row per structure node required")
         self.structure = structure
         self.k = k
-        self._vectors = vectors
+        # read-only: leaf_vector hands out rows of it
+        nhi_matrix.flags.writeable = False
+        self._nhi_matrix = nhi_matrix
         self.union_input_nodes = union_input_nodes
         self.sum_input_nodes = sum_input_nodes
         # freeze the lookup arrays once — the structure is immutable
@@ -104,22 +105,14 @@ class MergedTrie:
         # The walk is the per-VN engines' FrozenWalk kernel; for a full
         # trie the frozen arrays carry no parked nodes, so every walk
         # lands on a real leaf index, which is what lets the 2-D NHI
-        # gather in walk_batch index the leaf's vector directly.
+        # gather in walk_batch index the leaf's row directly.
         frozen = structure._freeze()
-        n_nodes = len(frozen.left)
-        if len(frozen.childflat) != 2 * n_nodes:
+        if len(frozen.levels) != structure.num_nodes:
             raise MergeError(
                 "merged structure must be full (leaf-pushed): a node with "
                 "exactly one child cannot carry a per-leaf NHI vector"
             )
         self._frozen = frozen
-        self._nhi_matrix = np.full((n_nodes, k), NO_ROUTE, dtype=np.int64)
-        # full trie: leaf iff left child missing
-        for node in np.flatnonzero(frozen.left == NONE):
-            vector = vectors[node]
-            if vector is None:
-                raise MergeError(f"leaf node {node} is missing its NHI vector")
-            self._nhi_matrix[node] = vector
 
     # -- merging efficiency ------------------------------------------------
 
@@ -154,10 +147,9 @@ class MergedTrie:
 
     def leaf_vector(self, node: int) -> np.ndarray:
         """The K-wide NHI vector stored at leaf ``node``."""
-        vector = self._vectors[node]
-        if vector is None:
+        if not self.structure.is_leaf(node):
             raise MergeError(f"node {node} is not a leaf")
-        return vector
+        return self._nhi_matrix[node]
 
     # -- lookup ---------------------------------------------------------------
 
@@ -172,7 +164,7 @@ class MergedTrie:
             bit = (address >> (trie.width - 1 - level)) & 1
             node = trie.right(node) if bit else trie.left(node)
             level += 1
-        return int(self._vectors[node][vnid])
+        return int(self._nhi_matrix[node, vnid])
 
     def walk_batch(
         self, addresses: np.ndarray, vnids: np.ndarray
@@ -280,10 +272,27 @@ def merge_tries(tries: list[UnibitTrie]) -> MergedTrie:
         else:
             vectors[dst_right] = inherited.copy()
 
+    # the matrix replaces the per-leaf vectors before the freeze in
+    # MergedTrie allocates the walk tables, so the two never coexist
+    nhi_matrix = _leaf_matrix(structure, vectors, k)
+    del vectors
     return MergedTrie(
         structure=structure,
-        vectors=vectors,
+        nhi_matrix=nhi_matrix,
         k=k,
         union_input_nodes=union_input_nodes,
         sum_input_nodes=sum_input_nodes,
     )
+
+
+def _leaf_matrix(
+    structure: UnibitTrie, vectors: list[np.ndarray | None], k: int
+) -> np.ndarray:
+    """The ``(nodes, K)`` NHI matrix: each leaf's vector, NO_ROUTE elsewhere."""
+    matrix = np.full((len(vectors), k), NO_ROUTE, dtype=np.int64)
+    for node, vector in enumerate(vectors):
+        if structure.is_leaf(node):
+            if vector is None:
+                raise MergeError(f"leaf node {node} is missing its NHI vector")
+            matrix[node] = vector
+    return matrix

@@ -8,6 +8,7 @@ from repro.iplookup.rib import NO_ROUTE, RoutingTable
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
 from repro.iplookup.trie import UnibitTrie
 from repro.virt.merged import (
+    _leaf_matrix,
     global_alpha_from_pairwise,
     merge_tries,
     pairwise_alpha_from_global,
@@ -59,6 +60,12 @@ class TestMergeStructure:
             else:
                 with pytest.raises(MergeError):
                     merged.leaf_vector(node)
+
+    def test_a_leaf_without_a_vector_is_rejected(self):
+        structure = UnibitTrie(RoutingTable.from_strings([("128.0.0.0/1", 1)]))
+        vectors = [None, None]  # the root is internal, node 1 a leaf
+        with pytest.raises(MergeError, match="missing its NHI vector"):
+            _leaf_matrix(structure, vectors, 2)
 
     def test_identical_tries_fully_overlap(self, vn_tables):
         tries = [UnibitTrie(vn_tables[0]) for _ in range(4)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ObservabilityError
+from repro.fpga.dvs import OperatingPoint
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
 from repro.obs.power import PowerTelemetrySampler
 from repro.obs.registry import REGISTRY, MetricsRegistry
@@ -176,6 +177,20 @@ class TestPublish:
             sample.total_w
         )
 
+    def test_cached_gauges_follow_a_cleared_registry(self, tables, batch):
+        """publish() reuses its gauge children, but a reset or clear
+        orphans them, so the next reading lands in the live registry."""
+        registry = MetricsRegistry(enabled=True)
+        sampler = make_sampler(Scheme.VS, registry=registry)
+        _, trace = LookupService(tables, Scheme.VS).serve(*batch)
+        for drop in (registry.reset, registry.clear, lambda: None):
+            sampler.observe(trace)
+            total = registry.get("repro_power_total_watts").labels("VS", "G2")
+            assert total.value == pytest.approx(sampler.last_sample.total_w)
+            vn = registry.get("repro_power_vn_watts")
+            assert len(list(vn.samples())) == K
+            drop()
+
     def test_disabled_registry_not_touched(self, tables, batch):
         registry = MetricsRegistry(enabled=False)
         sampler = make_sampler(Scheme.VS, registry=registry)
@@ -203,6 +218,41 @@ class TestServeInstrumentation:
         assert latency.count == 1
         assert registry.get("repro_serve_duty_cycle").labels("VS").value > 0.0
         assert registry.get("repro_serve_queue_depth").labels("VS").value > 0.0
+
+    def test_cached_metric_children_follow_reset_clear_and_reclock(self, tables, batch):
+        registry = MetricsRegistry(enabled=True)
+        service = LookupService(tables, Scheme.VS, registry=registry)
+
+        def batches_total():
+            return registry.get("repro_serve_batches_total").labels("VS").value
+
+        service.serve(*batch)
+        service.serve(*batch)
+        assert batches_total() == 2.0
+        registry.reset()
+        service.serve(*batch)
+        assert batches_total() == 1.0
+        registry.clear()
+        service.serve(*batch)
+        assert batches_total() == 1.0
+        lookups = registry.get("repro_serve_lookups_total")
+        assert sum(c.value for _, c in lookups.samples()) == len(batch[0])
+        service.apply_operating_point(OperatingPoint(0.9))
+        service.serve(*batch)
+        assert batches_total() == 2.0
+        assert registry.get("repro_serve_duty_cycle").labels("VS").value > 0.0
+
+    @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
+    def test_vn_counts_equal_the_bincount_of_vnids(self, tables, scheme, obs_enabled):
+        """NV/VS read the counts off the per-engine traces, VM bincounts
+        the VNIDs: both agree with counting the batch, empty VNs too."""
+        rng = np.random.default_rng(11)
+        addresses = rng.integers(0, 1 << 32, size=500, dtype=np.uint64).astype(np.uint32)
+        vnids = rng.choice([0, 2], size=500, p=[0.7, 0.3]).astype(np.int64)
+        _, trace = LookupService(tables, scheme).serve(addresses, vnids)
+        expected = tuple(np.bincount(vnids, minlength=K).tolist())
+        assert trace.vn_counts == expected
+        assert all(type(c) is int for c in trace.vn_counts)
 
     def test_results_identical_with_and_without_metrics(self, tables, batch, obs_enabled):
         service = LookupService(tables, Scheme.VM)

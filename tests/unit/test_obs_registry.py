@@ -148,6 +148,15 @@ class TestMetricsRegistry:
         family.labels("VS").inc()  # cached handle still usable
         assert family.labels("VS").value == 1.0
 
+    def test_reset_and_clear_bump_the_generation(self, registry):
+        start = registry.generation
+        registry.counter("c_total").inc()
+        assert registry.generation == start
+        registry.reset()
+        assert registry.generation == start + 1
+        registry.clear()
+        assert registry.generation == start + 2
+
     def test_enabled_scope_restores_flag(self):
         registry = MetricsRegistry(enabled=False)
         with registry.enabled_scope():

@@ -124,3 +124,14 @@ def test_markdown_table_names_every_row_and_the_verdict(perf_ab):
     assert text.count("\n| bulk |") == 2 and text.count("\n| sharded |") == 2
     assert "**FAIL**" in text and "**Verdict: FAIL**" in text
     assert f"- {failures[0]}" in text
+
+
+def test_markdown_shows_each_sides_range_beside_its_median(perf_ab):
+    base = [record(goodput=g, p90=p) for g, p in ((90.0, 9.0), (100.0, 10.0), (130.0, 14.0))]
+    change = [record(goodput=g) for g in (95.0, 101.0, 99.0)]
+    rows, failures = perf_ab.verdict(SPEC, runs(base={"bulk": base}, change={"bulk": change}))
+    text = perf_ab.render_markdown("HEAD~1", rows, failures)
+    goodput = next(line for line in text.splitlines() if line.startswith("| bulk | goodput"))
+    assert "| 100 | 90–130 | 99 | 95–101 |" in goodput
+    p90 = next(line for line in text.splitlines() if line.startswith("| bulk | p90"))
+    assert "| 10 | 9–14 | 10 | 10–10 |" in p90

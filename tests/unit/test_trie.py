@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import TrieError
 from repro.iplookup.prefix import parse_address, parse_prefix
-from repro.iplookup.rib import NO_ROUTE
+from repro.iplookup.rib import NO_ROUTE, RoutingTable
 from repro.iplookup.trie import NONE, UnibitTrie
 
 
@@ -129,3 +129,31 @@ class TestValidate:
                 break
         with pytest.raises(TrieError):
             t.validate()
+
+
+class TestStrideWalk:
+    """The frozen walk's stride tables (see FrozenWalk)."""
+
+    def test_single_child_node_on_a_stride_boundary_parks_there(self):
+        # 10.1/16 sits at level 16, the first stride boundary, and has
+        # only a 0-child (10.1.0/20); 10.1.0.0/24 sits at level 24, the
+        # second, and has only a 0-child (10.1.0.0/28)
+        table = RoutingTable.from_strings(
+            [("10.1.0.0/16", 1), ("10.1.0.0/20", 2), ("10.1.0.0/24", 3), ("10.1.0.0/28", 4)]
+        )
+        trie = UnibitTrie(table)
+        frozen = trie.freeze()
+        assert frozen.strides == ((16, 8), (24, 4))
+        addresses = np.array(
+            [parse_address(a) for a in ("10.1.128.1", "10.1.0.128", "10.1.0.1")],
+            dtype=np.uint32,
+        )
+        node = frozen.walk(addresses)
+        n_real = len(trie.nodes())
+        # the first two park beside their boundary node's live child
+        assert (node[:2] >= n_real).all()
+        assert (frozen.rowbase[node[:2]] == 0).all()
+        depths, results = trie.walk_batch(addresses)
+        assert depths.tolist() == [16, 24, 28]
+        assert results.tolist() == [1, 3, 4]
+        assert results.tolist() == [trie.lookup(int(a)) for a in addresses]

@@ -172,6 +172,11 @@ def verdict(spec: dict, runs: Runs) -> tuple[list[dict], list[str]]:
     return rows, failures
 
 
+def _span(values: list[float]) -> str:
+    """One side's runs as ``min–max``."""
+    return f"{min(values):.6g}–{max(values):.6g}"
+
+
 def render_markdown(base_ref: str, rows: list[dict], failures: list[str]) -> str:
     """The A/B table: one row per workload and end-to-end metric."""
     lines = [
@@ -179,15 +184,19 @@ def render_markdown(base_ref: str, rows: list[dict], failures: list[str]) -> str
         "",
         f"{PAIRS} pairs of {RUN_SECONDS:g} s runs per workload, seeds {list(SEEDS)}, "
         "sides alternated on one host. *Worse* is the change's regression against the "
-        "base median, as a share of it; negative is better.",
+        "base median, as a share of it; negative is better. Each side's range is the "
+        "min–max of its runs: where the base's own range is wider than the bound, "
+        "one slow run can fail the gate on identical code.",
         "",
-        "| Workload | Metric | Better | Base median | Change median | Worse | Bound | |",
-        "|---|---|---|---:|---:|---:|---:|---|",
+        "| Workload | Metric | Better | Base median | Base range | Change median "
+        "| Change range | Worse | Bound | |",
+        "|---|---|---|---:|---:|---:|---:|---:|---:|---|",
     ]
     for row in rows:
         lines.append(
             f"| {row['workload']} | {row['metric']} ({row['unit']}) | {row['better']} "
-            f"| {row['base_median']:.6g} | {row['change_median']:.6g} "
+            f"| {row['base_median']:.6g} | {_span(row['base'])} "
+            f"| {row['change_median']:.6g} | {_span(row['change'])} "
             f"| {row['regression']:+.1%} | {row['bound']:.0%} "
             f"| {'ok' if row['passed'] else '**FAIL**'} |"
         )
