@@ -44,10 +44,10 @@ def main() -> None:
     pipeline = LookupPipeline(pushed, n_stages=28)
     traffic = TrafficModel.uniform(1, duty_cycle=0.5)
     addresses, _ = traffic.generate(4000, [table], seed=11)
-    trace = pipeline.run(addresses, inter_arrival_gap=traffic.inter_arrival_gap())
+    results, trace = pipeline.run(addresses, inter_arrival_gap=traffic.inter_arrival_gap())
 
     oracle = table.lookup_linear_batch(addresses)
-    assert np.array_equal(trace.results, oracle), "pipeline must match the RIB oracle"
+    assert np.array_equal(results, oracle), "pipeline must match the RIB oracle"
     print(f"\nsimulated {trace.n_packets} packets in {trace.total_cycles} cycles")
     print(f"per-packet latency: {trace.latency_cycles} cycles")
     print(f"admission rate: {trace.throughput_packets_per_cycle():.2f} packets/cycle")

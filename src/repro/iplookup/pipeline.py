@@ -6,11 +6,19 @@ one lookup admitted per clock, results emerging ``N`` cycles later
 
 1. **Functional validation** — every packet's pipeline result is the
    trie's LPM answer, cross-checked in tests against the linear-scan
-   oracle.
+   oracle.  :meth:`LookupPipeline.run` returns the answers beside the
+   trace.
 2. **Activity measurement** — per-stage memory access counts and idle
    fractions, which feed the duty-cycle (clock-gating) term of the
    power models: a stage whose memory is not accessed in a cycle
    dissipates no dynamic power (Section IV).
+
+A :class:`PipelineTrace` carries activity only, no answers: the power
+model and the serving tiers read per-engine activity, and the answers
+travel once, beside the traces.  The activity of a walk is a function
+of its depth histogram alone (:func:`trace_from_histogram`), which is
+what lets the NV/VS serve path account K engines from one
+``bincount`` over a forest walk.
 """
 
 from __future__ import annotations
@@ -22,17 +30,15 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.iplookup.trie import UnibitTrie
 
-__all__ = ["LookupPipeline", "PipelineTrace", "trace_from_walk"]
+__all__ = ["LookupPipeline", "PipelineTrace", "trace_from_histogram", "trace_from_walk"]
 
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """Result of one pipeline simulation run.
+    """Activity of one pipeline simulation run (no per-packet answers).
 
     Attributes
     ----------
-    results:
-        NHI per packet, in arrival order.
     total_cycles:
         Cycles from first admission to last drain.
     accesses_per_stage:
@@ -43,7 +49,6 @@ class PipelineTrace:
         Number of packets simulated.
     """
 
-    results: np.ndarray
     total_cycles: int
     accesses_per_stage: np.ndarray
     busy_cycles_per_stage: np.ndarray
@@ -86,15 +91,44 @@ def trace_from_walk(
 ) -> PipelineTrace:
     """Closed-form pipeline accounting from a completed trie walk.
 
+    ``depths`` are the walk depths of the packets in arrival order;
+    ``results`` (their answers) must match its shape but are not part
+    of the trace.  The trace is :func:`trace_from_histogram` of the
+    depths' histogram.  Shared by :meth:`LookupPipeline.run` and the
+    batched serving layer (:mod:`repro.serve`), which derives the same
+    activity trace from the merged engine's walk.
+    """
+    if np.shape(depths) != np.shape(results):
+        raise ConfigurationError("depths and results must have the same shape")
+    hist = np.bincount(np.asarray(depths, dtype=np.int64), minlength=1)
+    return trace_from_histogram(
+        hist,
+        n_stages,
+        inter_arrival_gap=inter_arrival_gap,
+        admission_rate=admission_rate,
+        window_packets=window_packets,
+    )
+
+
+def trace_from_histogram(
+    hist: np.ndarray,
+    n_stages: int,
+    inter_arrival_gap: int = 0,
+    admission_rate: float = 1.0,
+    window_packets: int | None = None,
+) -> PipelineTrace:
+    """Closed-form pipeline accounting from a walk-depth histogram.
+
+    ``hist[d]`` counts the packets whose walk reached depth ``d``.
     Admission cycle of packet ``i`` is ``i*(gap+1)``; the packet
     occupies stage ``j`` during cycle ``admit+j`` and accesses stage
     ``j``'s memory iff its trie walk reaches level ``j+1`` (depth >
     ``j``).  With a strictly linear pipeline there are no structural
     hazards, so per-stage totals follow in closed form rather than
-    per-cycle stepping — identical results, O(n + stages) instead of
-    O(n × stages).  Shared by :meth:`LookupPipeline.run` and the
-    batched serving layer (:mod:`repro.serve`), which derives the
-    same activity trace from the merged engine's walk.
+    per-cycle stepping: the accesses of stage ``j`` are the packets
+    minus the cumulative histogram at ``j``, O(stages) once the
+    histogram exists.  The order of the packets does not matter, so
+    one ``bincount`` over a forest walk's tags serves K engines.
 
     ``admission_rate`` stretches the arrival spacing to model an
     offered load below line rate: a fraction ``r`` of cycles carries
@@ -113,11 +147,7 @@ def trace_from_walk(
         raise ConfigurationError(
             f"admission_rate must be in (0, 1], got {admission_rate}"
         )
-    depths = np.asarray(depths, dtype=np.int64)
-    results = np.asarray(results, dtype=np.int64)
-    if depths.shape != results.shape:
-        raise ConfigurationError("depths and results must have the same shape")
-    n = len(depths)
+    n = int(hist.sum())
     window = n if window_packets is None else int(window_packets)
     if window < n:
         raise ConfigurationError(
@@ -125,15 +155,13 @@ def trace_from_walk(
         )
     stride = (inter_arrival_gap + 1) / admission_rate
     total_cycles = int(round((window - 1) * stride)) + n_stages + 1 if window else 0
-    # packets whose walk depth exceeds j access stage j; counting via
-    # a depth histogram + cumulative sum is O(n + stages) where the
-    # former (n × stages) boolean matrix was the serve hot path's
-    # next bottleneck once the walks themselves were frozen
-    hist = np.bincount(depths, minlength=n_stages)
-    accesses = (n - np.cumsum(hist[:n_stages])).astype(np.int64)
+    # packets whose walk depth exceeds j access stage j
+    reached = np.zeros(n_stages, dtype=np.int64)
+    bins = min(len(hist), n_stages)
+    reached[:bins] = hist[:bins]
+    accesses = n - np.cumsum(reached)
     busy = np.full(n_stages, n, dtype=np.int64)
     return PipelineTrace(
-        results=results,
         total_cycles=int(total_cycles),
         accesses_per_stage=accesses,
         busy_cycles_per_stage=busy,
@@ -172,8 +200,11 @@ class LookupPipeline:
         self,
         addresses: np.ndarray,
         inter_arrival_gap: int = 0,
-    ) -> PipelineTrace:
+    ) -> tuple[np.ndarray, PipelineTrace]:
         """Simulate a packet stream through the pipeline.
+
+        Returns the NHI per packet (arrival order) and the activity
+        trace of the run.
 
         Parameters
         ----------
@@ -187,11 +218,13 @@ class LookupPipeline:
             raise ConfigurationError("inter_arrival_gap must be non-negative")
         addresses = np.asarray(addresses, dtype=np.uint32)
         depths, results = self.trie.walk_batch(addresses)
-        return trace_from_walk(depths, results, self.n_stages, inter_arrival_gap)
+        return results, trace_from_walk(
+            depths, results, self.n_stages, inter_arrival_gap
+        )
 
     def verify(self, addresses: np.ndarray) -> bool:
         """Check pipeline results against the trie's direct lookup."""
         addresses = np.asarray(addresses, dtype=np.uint32)
-        trace = self.run(addresses)
+        results, _ = self.run(addresses)
         direct = self.trie.lookup_batch(addresses)
-        return bool(np.array_equal(trace.results, direct))
+        return bool(np.array_equal(results, direct))

@@ -12,6 +12,16 @@ level below that.  The walk's final node is the one a bit-by-bit walk
 stops on, so depths — the per-stage activity the power model reads —
 stay those of the uni-bit, level-per-stage pipeline.
 
+The NV/VS serving path runs K separate engines, one trie per virtual
+network.  :func:`freeze_forest` stacks their tries into one *forest*
+snapshot: concatenated node arrays, one root-jump table indexed by
+engine and top address bits, one set of stride tables and a per-node
+``engine · (depth + 1) + level`` tag.  A whole mixed-VN batch then
+walks in arrival order with the VNIDs as engine indices, and one
+``bincount`` of the final nodes' tags yields every engine's depth
+histogram — no partition of the batch by VN.  A single trie's own
+snapshot is the K=1 forest.
+
 Node index 0 is always the root.  A node is a *leaf* when it has no
 children; next-hop information (NHI) may sit on any node in a plain
 trie, and only on leaves after :func:`repro.iplookup.leafpush.leaf_push`.
@@ -29,7 +39,14 @@ from repro.iplookup.prefix import Prefix
 from repro.iplookup.rib import NO_ROUTE, RoutingTable
 from repro.obs.registry import REGISTRY
 
-__all__ = ["UnibitTrie", "TrieStats", "FrozenWalk", "NONE"]
+__all__ = [
+    "UnibitTrie",
+    "TrieStats",
+    "FrozenWalk",
+    "NONE",
+    "count_node_visits",
+    "freeze_forest",
+]
 
 #: sentinel child index meaning "no child"
 NONE = -1
@@ -37,38 +54,48 @@ NONE = -1
 
 @dataclass(frozen=True, slots=True)
 class FrozenWalk:
-    """Immutable structure-of-arrays snapshot of a trie's lookup state.
+    """Immutable structure-of-arrays snapshot of one or more tries' lookup state.
 
-    Built once by :meth:`UnibitTrie._freeze` (and dropped on any
-    mutating insert/remove); every array is laid out so the batch walk
-    needs no per-call setup:
+    Built once by :func:`freeze_forest` over K tries — a *forest* — and
+    by :meth:`UnibitTrie._freeze` as the K=1 case (dropped on any
+    mutating insert/remove).  Engine ``t`` owns the node range
+    ``offsets[t] .. offsets[t + 1]``: its real nodes, then its parked
+    nodes.  Every array is laid out so the batch walk needs no per-call
+    setup:
 
-    * ``jump`` — a ``2^jump_stride``-entry direct index over the top
-      address bits resolving the first ``jump_stride`` levels in one
-      gather;
-    * ``rowbase`` / ``delta`` — the stride tables: ``strides`` lists
-      each ``(level, bits)`` step below the jump, down to
-      :attr:`UnibitTrie.STRIDE_CAP`.  Every node at a step's level
-      that has a child owns one row of ``2^bits`` entries starting at
-      ``rowbase[node]``; entry ``p`` is ``target - node``, where
-      ``target`` is the node a walk of bit pattern ``p`` reaches (or
-      parks on).  Every other node has ``rowbase`` 0, and row 0 is
-      all zeros, so a lane that has stopped stays where it is;
+    * ``jump`` — ``K · 2^jump_stride`` entries over the engine index
+      and the top address bits: engine ``t``'s root jump sits at
+      ``t << jump_stride`` and resolves its first ``jump_stride``
+      levels in one gather.  ``jump_stride`` is capped at the deepest
+      engine; a shallower (or empty) engine's entries park on the node
+      its walk stops on;
+    * ``rowbase`` / ``delta`` — the stride tables, one set over the
+      whole forest: ``strides`` lists each ``(level, bits)`` step
+      below the jump, down to :attr:`UnibitTrie.STRIDE_CAP`.  Every
+      node at a step's level that has a child owns one row of
+      ``2^bits`` entries starting at ``rowbase[node]``; entry ``p`` is
+      ``target - node``, where ``target`` is the node a walk of bit
+      pattern ``p`` reaches (or parks on).  Every other node has
+      ``rowbase`` 0, and row 0 is all zeros, so a lane that has
+      stopped stays where it is;
     * ``childflat`` — child indices indexed ``(node << 1) | bit``,
       walked one level per gather below the strides (128-bit tries);
       a missing child self-loops, so a lane whose walk terminated
       parks on its last real node and needs no masking;
     * ``best`` — per node, the NHI of the nearest ancestor-or-self
       carrying one (the LPM answer for any lane parked there);
-    * ``levels`` — per node depth, which doubles as the walk depth of
-      a parked lane.
+    * ``tag`` — per node ``engine · (depth + 1) + level``: one
+      ``bincount`` of the tags a batch ends on is the K × (depth + 1)
+      walk-depth histogram, the per-engine activity the pipeline
+      accounting reads.  With K=1 the tag is the node's level.
 
-    :meth:`walk` is the one batch walk kernel: the per-VN engines
-    gather ``best`` from the nodes it returns, the
+    :meth:`walk` is the one batch walk kernel: the NV/VS serve path
+    walks a whole batch on the forest and gathers ``best`` and ``tag``,
+    a :class:`UnibitTrie` walks its own K=1 snapshot, and the
     :class:`~repro.virt.merged.MergedTrie` gathers its NHI matrix.
     """
 
-    levels: np.ndarray
+    tag: np.ndarray
     childflat: np.ndarray
     best: np.ndarray
     jump: np.ndarray
@@ -78,40 +105,74 @@ class FrozenWalk:
     strides: tuple[tuple[int, int], ...]
     depth: int
     width: int
+    offsets: tuple[int, ...]
 
-    def walk(self, addresses: np.ndarray) -> np.ndarray:
+    def walk(self, addresses: np.ndarray, engines: np.ndarray | int = 0) -> np.ndarray:
         """The node each address's walk ends on (or parks on).
 
-        The jump table resolves the first ``jump_stride`` levels with
+        ``engines`` names each lane's trie: an array beside
+        ``addresses`` (the batch's VNIDs) or one engine for all lanes.
+        Each lane's engine and address share one word, the engine
+        above the address bits, so the jump key (engine and top
+        ``jump_stride`` bits) is one shift of it.  The jump table
+        resolves the engine and the first ``jump_stride`` levels with
         one gather, each stride step resolves up to
         :attr:`UnibitTrie.STRIDE` more with one ``delta`` gather, and
         every level past the strides is one gather over the flat
         self-looping child array — no per-level masking anywhere.
+        The steps update their index and node arrays in place: on a
+        large batch, fresh temporaries cost more than the arithmetic.
         Addresses wider than 32 bits exceed the NumPy word size, so
         they are shifted as Python integers and only the extracted
         bits and node indices are NumPy integers.
         """
-        wide = self.width > 32
+        width = self.width
+        wide = width > 32
+        # one word per lane holding the engine above the address bits:
+        # the jump key and every stride pattern are bit fields of it
         if wide:
             addr = np.array([int(a) for a in addresses], dtype=object)
+            full = (np.asarray(engines, dtype=np.int64).astype(object) << width) | addr
+        elif np.ndim(engines) == 0:
+            full = np.asarray(addresses, dtype=np.uint32).astype(np.int64)
+            if engines:
+                full |= int(engines) << width
         else:
-            addr = np.asarray(addresses, dtype=np.uint32).astype(np.int64)
+            full = np.left_shift(engines, width, dtype=np.int64)
+            full |= np.asarray(addresses, dtype=np.uint32)
+
+        def field(shift: int, mask: int | None = None) -> np.ndarray:
+            """The lanes' bits from ``shift`` up, under ``mask``."""
+            out = full >> shift
+            if mask is not None:
+                out &= mask
+            return out.astype(np.int64) if wide else out
+
         level = self.jump_stride
-        if level:
-            top = addr >> (self.width - level)
-            node = self.jump[top.astype(np.int64) if wide else top]
-        else:
-            node = np.zeros(len(addr), dtype=np.int64)
-        rowbase, delta = self.rowbase, self.delta
+        node = self.jump[field(width - level)]
         for start, bits in self.strides:
-            pattern = (addr >> (self.width - start - bits)) & ((1 << bits) - 1)
-            node = node + delta[rowbase[node] | (pattern.astype(np.int64) if wide else pattern)]
+            key = field(width - start - bits, (1 << bits) - 1)
+            key |= self.rowbase[node]
+            node += self.delta[key]
             level = start + bits
-        childflat = self.childflat
         for lvl in range(level, self.depth):
-            bit = (addr >> (self.width - 1 - lvl)) & 1
-            node = childflat[(node << 1) | (bit.astype(np.int64) if wide else bit)]
+            key = field(width - 1 - lvl, 1)
+            key |= node << 1
+            node = self.childflat[key]
         return node
+
+
+def count_node_visits(structure: str, visits: int) -> None:
+    """Add ``visits`` to ``repro_trie_node_visits_total{structure=...}``.
+
+    Callers check ``REGISTRY.enabled`` first, so a walk with
+    observability off pays one branch per batch.
+    """
+    REGISTRY.counter(
+        "repro_trie_node_visits_total",
+        "Trie nodes touched by batch walks (root included)",
+        labels=("structure",),
+    ).labels(structure).inc(visits)
 
 
 #: stride-table rows expanded per gather pass at freeze time; bounds the
@@ -130,10 +191,10 @@ def _stride_tables(
     """``(rowbase, delta, strides)`` of :class:`FrozenWalk` for levels
     ``start .. stop`` in ``stride``-bit steps (the last may be shorter).
 
-    ``levels`` and ``has_child`` describe the real nodes; parked nodes
-    (indices past them in ``childflat``) self-loop both ways, as do
-    childless nodes, so neither gets a row.  Row 0 is the shared
-    all-zero row of every rowless node.  Every step but the last has
+    ``levels`` and ``has_child`` cover every node of the (possibly
+    stacked) ``childflat``; parked nodes self-loop both ways, as do
+    childless nodes, so neither has a child and neither gets a row.
+    Row 0 is the shared all-zero row of every rowless node.  Every step but the last has
     ``2^stride``-entry rows, so each row starts at a multiple of its
     own width and ``rowbase | pattern`` addresses its entries.
     """
@@ -400,79 +461,7 @@ class UnibitTrie:
 
     def _freeze(self) -> FrozenWalk:
         if self._frozen is None:
-            left = np.asarray(self._left, dtype=np.int64)
-            right = np.asarray(self._right, dtype=np.int64)
-            nhi = np.asarray(self._nhi, dtype=np.int64)
-            levels = np.asarray(self._level, dtype=np.int64)
-            n = len(left)
-            identity = np.arange(n, dtype=np.int64)
-            # parent pointers (root and freed slots point at themselves)
-            parent = identity.copy()
-            has_left = left != NONE
-            parent[left[has_left]] = identity[has_left]
-            has_right = right != NONE
-            parent[right[has_right]] = identity[has_right]
-            # best[node] = nearest ancestor-or-self NHI, propagated one
-            # level at a time (a child's parent is always one level up,
-            # so each level's gather reads already-final values).
-            # every allocated slot is reachable or free (see validate),
-            # so this is depth() without the Python preorder walk
-            live = np.ones(n, dtype=bool)
-            live[self._free] = False
-            depth = int(levels[live].max())
-            best = nhi.copy()
-            order = np.argsort(levels, kind="stable")
-            starts = np.searchsorted(levels[order], np.arange(depth + 2))
-            for lvl in range(1, depth + 1):
-                at = order[starts[lvl] : starts[lvl + 1]]
-                own = nhi[at]
-                best[at] = np.where(own != NO_ROUTE, own, best[parent[at]])
-            # child targets: a childless node self-loops (parking is
-            # safe — no bit can leave it), but a node with exactly one
-            # child must NOT self-loop on its missing side, or a later
-            # address bit would un-park the lane into the live child.
-            # Each such slot gets a dedicated parked node carrying the
-            # parent's level/best; parked nodes self-loop both ways.
-            # A full (leaf-pushed) trie has no such slots, so its
-            # childflat is exactly the merged-engine layout.
-            childless = (left == NONE) & (right == NONE)
-            lx = np.where(left == NONE, identity, left)
-            rx = np.where(right == NONE, identity, right)
-            miss_left = np.flatnonzero((left == NONE) & ~childless)
-            miss_right = np.flatnonzero((right == NONE) & ~childless)
-            parked_parents = np.concatenate([miss_left, miss_right])
-            m = len(parked_parents)
-            parked = n + np.arange(m, dtype=np.int64)
-            lx[miss_left] = parked[: len(miss_left)]
-            rx[miss_right] = parked[len(miss_left) :]
-            childflat = np.empty(2 * (n + m), dtype=np.int64)
-            childflat[0 : 2 * n : 2] = lx
-            childflat[1 : 2 * n : 2] = rx
-            childflat[2 * n :: 2] = parked
-            childflat[2 * n + 1 :: 2] = parked
-            # jump table over the top stride bits: entry p is the node
-            # reached (or parked on) after walking bit pattern p.
-            stride = min(self.JUMP_STRIDE, depth)
-            patterns = np.arange(1 << stride, dtype=np.int64)
-            jump = np.zeros(1 << stride, dtype=np.int64)
-            for lvl in range(stride):
-                bits = (patterns >> (stride - 1 - lvl)) & 1
-                jump = childflat[(jump << 1) | bits]
-            rowbase, delta, strides = _stride_tables(
-                childflat, levels, ~childless, stride, min(depth, self.STRIDE_CAP), self.STRIDE
-            )
-            self._frozen = FrozenWalk(
-                levels=np.concatenate([levels, levels[parked_parents]]),
-                childflat=childflat,
-                best=np.concatenate([best, best[parked_parents]]),
-                jump=jump,
-                jump_stride=stride,
-                rowbase=rowbase,
-                delta=delta,
-                strides=strides,
-                depth=depth,
-                width=self.width,
-            )
+            self._frozen = freeze_forest([self])
         return self._frozen
 
     def freeze(self) -> FrozenWalk:
@@ -503,22 +492,19 @@ class UnibitTrie:
     def walk_batch(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized walk: per-address depth reached and LPM result.
 
-        Runs :meth:`FrozenWalk.walk` over the frozen snapshot; the
-        per-lane depth and LPM answer come from two final gathers
-        (``levels`` / ``best``) — no per-call array setup.  The depth
+        Runs :meth:`FrozenWalk.walk` over the frozen snapshot (built
+        on first use, see :meth:`freeze`); the per-lane depth and LPM
+        answer come from two final gathers (``tag`` — the level, for
+        one trie — and ``best``) — no per-call array setup.  The depth
         is the number of levels the walk descended — the quantity the
         pipeline simulator converts into per-stage memory accesses.
         """
         frozen = self._freeze()
         node = frozen.walk(addresses)
-        depths = frozen.levels[node]
+        depths = frozen.tag[node]
         best = frozen.best[node]
         if REGISTRY.enabled:  # one branch per batch; zero overhead off
-            REGISTRY.counter(
-                "repro_trie_node_visits_total",
-                "Trie nodes touched by batch walks (root included)",
-                labels=("structure",),
-            ).labels("unibit").inc(int(depths.sum()) + len(node))
+            count_node_visits("unibit", int(depths.sum()) + len(node))
         return depths, best
 
     def lookup_batch(self, addresses: np.ndarray) -> np.ndarray:
@@ -621,3 +607,135 @@ class UnibitTrie:
                 f"{n - len(reachable) - len(free)} slots leaked "
                 "(neither reachable nor on the free list)"
             )
+
+
+def _engine_arrays(
+    trie: UnibitTrie,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One trie's ``(childflat, levels, best, has_child, depth)``, its
+    parked nodes appended after its real ones, indices local to it."""
+    left = np.asarray(trie._left, dtype=np.int64)
+    right = np.asarray(trie._right, dtype=np.int64)
+    nhi = np.asarray(trie._nhi, dtype=np.int64)
+    levels = np.asarray(trie._level, dtype=np.int64)
+    n = len(left)
+    identity = np.arange(n, dtype=np.int64)
+    # parent pointers (root and freed slots point at themselves)
+    parent = identity.copy()
+    has_left = left != NONE
+    parent[left[has_left]] = identity[has_left]
+    has_right = right != NONE
+    parent[right[has_right]] = identity[has_right]
+    # every allocated slot is reachable or free (see validate), so
+    # this is depth() without the Python preorder walk
+    live = np.ones(n, dtype=bool)
+    live[trie._free] = False
+    depth = int(levels[live].max())
+    # best[node] = nearest ancestor-or-self NHI, propagated one level
+    # at a time (a child's parent is always one level up, so each
+    # level's gather reads already-final values)
+    best = nhi.copy()
+    order = np.argsort(levels, kind="stable")
+    starts = np.searchsorted(levels[order], np.arange(depth + 2))
+    for lvl in range(1, depth + 1):
+        at = order[starts[lvl] : starts[lvl + 1]]
+        own = nhi[at]
+        best[at] = np.where(own != NO_ROUTE, own, best[parent[at]])
+    # child targets: a childless node self-loops (parking is safe — no
+    # bit can leave it), but a node with exactly one child must NOT
+    # self-loop on its missing side, or a later address bit would
+    # un-park the lane into the live child.  Each such slot gets a
+    # dedicated parked node carrying the parent's level/best; parked
+    # nodes self-loop both ways.  A full (leaf-pushed) trie has no such
+    # slots, so its childflat is exactly the merged-engine layout.
+    childless = ~(has_left | has_right)
+    lx = np.where(has_left, left, identity)
+    rx = np.where(has_right, right, identity)
+    miss_left = np.flatnonzero(~has_left & ~childless)
+    miss_right = np.flatnonzero(~has_right & ~childless)
+    parked_parents = np.concatenate([miss_left, miss_right])
+    m = len(parked_parents)
+    parked = n + np.arange(m, dtype=np.int64)
+    lx[miss_left] = parked[: len(miss_left)]
+    rx[miss_right] = parked[len(miss_left) :]
+    childflat = np.empty(2 * (n + m), dtype=np.int64)
+    childflat[0 : 2 * n : 2] = lx
+    childflat[1 : 2 * n : 2] = rx
+    childflat[2 * n :: 2] = parked
+    childflat[2 * n + 1 :: 2] = parked
+    return (
+        childflat,
+        np.concatenate([levels, levels[parked_parents]]),
+        np.concatenate([best, best[parked_parents]]),
+        np.concatenate([~childless, np.zeros(m, dtype=bool)]),
+        depth,
+    )
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Concatenate, without copying a single array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def freeze_forest(tries: list[UnibitTrie]) -> FrozenWalk:
+    """Stack K tries into one :class:`FrozenWalk` (see its docstring).
+
+    The node arrays concatenate, each engine's child indices shifted by
+    its node offset; the jump table and the stride tables are built
+    once over the whole forest, so a batch of mixed engines walks in
+    one pass.
+    """
+    if not tries:
+        raise TrieError("a forest needs at least one trie")
+    widths = {trie.width for trie in tries}
+    if len(widths) > 1:
+        raise TrieError(f"cannot stack tries of mixed widths {sorted(widths)}")
+    width = widths.pop()
+    parts = [_engine_arrays(trie) for trie in tries]
+    k = len(parts)
+    depth = max(part[4] for part in parts)
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum([len(part[1]) for part in parts], out=offsets[1:])
+    childflat = _stack(
+        [part[0] + off if off else part[0] for part, off in zip(parts, offsets)]
+    )
+    levels = _stack([part[1] for part in parts])
+    best = _stack([part[2] for part in parts])
+    has_child = _stack([part[3] for part in parts])
+    del parts
+    # jump table over the engine and the top stride bits: entry
+    # (t << stride) | p is the node engine t reaches (or parks on)
+    # after walking bit pattern p.  One level per pass, each entry
+    # splitting into its 0- and 1-child, so the table doubles per
+    # level instead of every pass walking all 2^stride patterns.
+    stride = min(UnibitTrie.JUMP_STRIDE, depth)
+    pairs = childflat.reshape(-1, 2)
+    jump = offsets[:-1, None]
+    for _ in range(stride):
+        jump = pairs[jump].reshape(k, -1)
+    jump = jump.ravel()
+    rowbase, delta, strides = _stride_tables(
+        childflat,
+        levels,
+        has_child,
+        stride,
+        min(depth, UnibitTrie.STRIDE_CAP),
+        UnibitTrie.STRIDE,
+    )
+    # the levels become the tags in place: engine t's nodes move up by
+    # t histogram rows of depth + 1 bins
+    for t in range(1, k):
+        levels[offsets[t] : offsets[t + 1]] += t * (depth + 1)
+    return FrozenWalk(
+        tag=levels,
+        childflat=childflat,
+        best=best,
+        jump=jump,
+        jump_stride=stride,
+        rowbase=rowbase,
+        delta=delta,
+        strides=strides,
+        depth=depth,
+        width=width,
+        offsets=tuple(int(off) for off in offsets),
+    )

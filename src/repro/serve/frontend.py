@@ -15,7 +15,10 @@ One batch flows as:
    :meth:`~repro.virt.distributor.Distributor.partition`; because
    every shard owns a *contiguous VN range* and the partition sorts
    by VNID, each shard's sub-batch is one contiguous slice of the
-   sorted batch — no per-VN loop, no concatenation;
+   sorted batch — no per-VN loop, no concatenation.  Its shard-local
+   VNIDs follow from the partition offsets and cross the pipe as one
+   byte each; the answers come back once, beside activity-only
+   engine traces;
 3. **backpressure** — each shard has a bounded dispatch queue
    (:attr:`~repro.faults.DegradationPolicy.max_queue_batches`); a
    full queue sheds the whole sub-batch with
@@ -104,6 +107,20 @@ def shard_vn_bounds(k: int, n_shards: int) -> tuple[int, ...]:
     for s in range(n_shards):
         bounds.append(bounds[-1] + base + (1 if s < extra else 0))
     return tuple(bounds)
+
+
+def _local_vnids(offsets: np.ndarray) -> np.ndarray:
+    """Shard-local VNIDs of a VNID-sorted sub-batch, from its offsets.
+
+    The sub-batch is sorted by VN, so its local VNIDs are runs of
+    ``0..len(offsets)-2`` of the offsets' lengths: no gather of the
+    batch's VNIDs.  A shard owning at most 256 VNs gets them as
+    ``uint8``, one byte per lookup on the pipe; its validate stage
+    casts them back to int64.
+    """
+    k_local = len(offsets) - 1
+    dtype = np.uint8 if k_local <= 1 << 8 else np.int64
+    return np.repeat(np.arange(k_local, dtype=dtype), np.diff(offsets))
 
 
 class _ShardHandle:
@@ -440,7 +457,6 @@ class ShardedLookupService(TierControl):
         self.batches_served += 1
         part = self.distributor.partition(vnids)
         sorted_addresses = part.gather(addresses)
-        sorted_vnids = part.gather(vnids)
         vn_shed = np.zeros(self.k, dtype=np.int64)
         results = np.full(len(addresses), SHED_RESULT, dtype=np.int64)
         loop = asyncio.get_running_loop()
@@ -453,7 +469,7 @@ class ShardedLookupService(TierControl):
             request = ShardBatchRequest(
                 batch_index=batch_index,
                 addresses=sorted_addresses[sl],
-                vnids=sorted_vnids[sl] - lo,
+                vnids=_local_vnids(part.offsets[lo : hi + 1]),
                 queue_seed=batch_index * len(self.shards)
                 + handle.config.shard_id,
             )
@@ -572,7 +588,6 @@ class ShardedLookupService(TierControl):
             empty = np.array([], dtype=np.int64)
             return trace_from_walk(empty, empty, self.n_stages)
         return PipelineTrace(
-            results=np.concatenate([t.results for t in traces]),
             total_cycles=int(sum(t.total_cycles for t in traces)),
             accesses_per_stage=np.sum(
                 [t.accesses_per_stage for t in traces], axis=0

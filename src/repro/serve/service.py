@@ -6,15 +6,17 @@ divides by how many ``(address, vnid)`` pairs the data plane can
 answer.  :class:`LookupService` is that path's front end.  A batch
 enters once and is routed according to the deployment scheme —
 
-* **NV / VS** — through the :class:`~repro.virt.distributor.Distributor`
-  to the K per-VN engines (one vectorized trie walk per engine over
-  its share of the batch);
+* **NV / VS** — to the K per-VN engines, walked together as one
+  frozen forest (:func:`~repro.iplookup.trie.freeze_forest`): one
+  vectorized walk of the whole batch in arrival order, the VNIDs
+  selecting each lane's engine, so the VNID demultiplexer costs no
+  partition of the batch;
 * **VM** — through the single merged engine (one vectorized walk of
   the union structure plus a 2-D NHI-vector gather).
 
 The service itself is a thin composition of the stage functions in
-:mod:`repro.serve.stages` (validate → admit → partition → walk →
-scatter → account) plus the instrumentation shell.  It is the one
+:mod:`repro.serve.stages` (validate → admit → walk → account; the
+degraded path adds a per-VN partition and scatter) plus the instrumentation shell.  It is the one
 serve core: the sharded async tier (:mod:`repro.serve.frontend`)
 hosts one ``LookupService`` per shard worker
 (:mod:`repro.serve.shard`) and only fans batches out and back in, and
@@ -24,7 +26,7 @@ shed lookups included.
 
 Besides the results, every call returns a :class:`ServeTrace`: the
 per-stage activity each engine would exhibit (via the closed-form
-pipeline accounting of :func:`repro.iplookup.pipeline.trace_from_walk`)
+pipeline accounting of :func:`repro.iplookup.pipeline.trace_from_histogram`)
 and an M/D/1 queueing-latency estimate (:mod:`repro.virt.queueing`).
 Throughput, latency and the power models' duty-cycle inputs therefore
 all flow from one ``serve()`` call.

@@ -13,9 +13,15 @@ adds bounded-queue backpressure.  Either way the pipeline is:
         │
     plan_admission          per-engine admitted fraction under faults
         │
-    walk_nominal /          SoA partition → per-engine frozen walk →
-    walk_degraded           single scatter (degraded: head-of-slice
-        │                   admission, retry-with-backoff, engine shed)
+    walk_nominal            NV/VS: one forest walk in arrival order,
+        │                   VNIDs as engine indices → best[node] answers
+        │                   + one bincount of tag[node] → per-engine
+        │                   depth histograms (no partition, gather or
+        │                   scatter); VM: one merged walk
+        │
+    walk_degraded           faults only: partition by VN, head-of-slice
+        │                   admission, each kept slice walked on the
+        │                   forest, retry-with-backoff, engine shed
         │
     ServeTrace              account: per-engine activity + latency
 
@@ -40,9 +46,19 @@ from repro.errors import (
 )
 from repro.faults.injectors import ActiveFaults
 from repro.faults.policy import SHED_RESULT, DegradationPolicy
-from repro.iplookup.pipeline import PipelineTrace, trace_from_walk
+from repro.iplookup.pipeline import (
+    PipelineTrace,
+    trace_from_histogram,
+    trace_from_walk,
+)
 from repro.iplookup.rib import RoutingTable
-from repro.iplookup.trie import UnibitTrie
+from repro.iplookup.trie import (
+    FrozenWalk,
+    UnibitTrie,
+    count_node_visits,
+    freeze_forest,
+)
+from repro.obs.registry import REGISTRY
 from repro.virt.distributor import Distributor
 from repro.virt.merged import MergedTrie, merge_tries
 from repro.virt.queueing import LatencyReport
@@ -59,6 +75,7 @@ __all__ = [
     "plan_admission",
     "validate_batch",
     "walk_degraded",
+    "walk_engine",
     "walk_nominal",
     "walk_with_retry",
 ]
@@ -190,9 +207,11 @@ class EngineGroup:
     """The *build* stage: one process's frozen lookup engines.
 
     For NV/VS this is the K per-VN :class:`~repro.iplookup.trie.UnibitTrie`
-    engines (frozen at build time) behind a
-    :class:`~repro.virt.distributor.Distributor`; for VM it is the
-    single :class:`~repro.virt.merged.MergedTrie` union engine.  An
+    engines behind a :class:`~repro.virt.distributor.Distributor`,
+    walked through one forest snapshot (``forest``, built here by
+    :func:`~repro.iplookup.trie.freeze_forest`) in place of K per-VN
+    snapshots; for VM it is the single
+    :class:`~repro.virt.merged.MergedTrie` union engine.  An
     ``EngineGroup`` is shared-nothing by construction — building one
     per shard worker process is exactly how the sharded tier fans out.
     """
@@ -213,18 +232,17 @@ class EngineGroup:
         self.distributor = Distributor(k=self.k)
         self.tries: list[UnibitTrie] = [UnibitTrie(t) for t in tables]
         self.merged: MergedTrie | None = None
+        self.forest: FrozenWalk | None = None
         if scheme.shares_engine:
             self.merged = merge_tries(self.tries)
             depth = self.merged.structure.depth()
         else:
-            # freeze the per-VN engines now (flat self-looping child
-            # arrays, root jump tables) so no served batch ever pays
-            # the freeze cost — the same build-time discipline as the
-            # merged engine, whose MergedTrie constructor freezes its
-            # union structure
-            for trie in self.tries:
-                trie.freeze()
-            depth = max(trie.depth() for trie in self.tries)
+            # stack the per-VN engines into one frozen forest now, so
+            # no served batch ever pays a freeze — the same build-time
+            # discipline as the merged engine, whose MergedTrie
+            # constructor freezes its union structure
+            self.forest = freeze_forest(self.tries)
+            depth = self.forest.depth
         if n_stages is None:
             # size the pipeline to the tables: real RIB snapshots have
             # /31-/32 more-specifics, deeper than the paper's 28 stages
@@ -416,40 +434,58 @@ def walk_nominal(
     vnids: np.ndarray,
     admission_rate: float = 1.0,
 ) -> tuple[np.ndarray, tuple[PipelineTrace, ...]]:
-    """The nominal *partition → walk → scatter* stages (no faults).
+    """The nominal *walk* and *account* stages (no faults).
 
-    Structure-of-arrays batch path: one stable sort by VNID, each
-    frozen engine walks its contiguous slice, and one scatter through
-    the inverse permutation restores arrival order — no per-engine
-    fancy indexing anywhere.  VM walks the whole batch on the single
-    merged engine.
+    NV/VS walk the whole batch in arrival order on the group's forest,
+    the VNIDs picking each lane's engine; the answers are one gather
+    of ``best``, and one ``bincount`` of the final nodes' tags is the
+    K × (depth + 1) depth histogram whose rows are the engine traces.
+    The VNID demultiplexer costs nothing here, as the paper's
+    Assumption 3 has it.  VM walks the whole batch on the single
+    merged engine.  ``vnids`` must have passed :func:`validate_batch`.
 
     ``admission_rate`` is the offered load fraction the batch arrives
     at: it stretches the modeled arrival window so the measured duty
     cycle tracks the load actually offered, not a back-to-back replay
-    (see :func:`repro.iplookup.pipeline.trace_from_walk`).
+    (see :func:`repro.iplookup.pipeline.trace_from_histogram`).
     """
     if group.merged is not None:
-        depths, results = group.merged.walk_batch(addresses, vnids)
+        depths, results = group.merged.walk_validated(addresses, vnids)
         return results, (
             trace_from_walk(
                 depths, results, group.n_stages, admission_rate=admission_rate
             ),
         )
-    part = group.distributor.partition(vnids)
-    sorted_addresses = part.gather(addresses)
-    sorted_results = np.empty(len(addresses), dtype=np.int64)
-    engine_traces = []
-    for vn in range(group.k):
-        sl = part.engine_slice(vn)
-        depths, engine_results = group.tries[vn].walk_batch(sorted_addresses[sl])
-        sorted_results[sl] = engine_results
-        engine_traces.append(
-            trace_from_walk(
-                depths, engine_results, group.n_stages, admission_rate=admission_rate
-            )
-        )
-    return part.scatter(sorted_results), tuple(engine_traces)
+    forest = group.forest
+    assert forest is not None
+    node = forest.walk(addresses, vnids)
+    bins = forest.depth + 1
+    hist = np.bincount(forest.tag[node], minlength=group.k * bins).reshape(
+        group.k, bins
+    )
+    if REGISTRY.enabled:  # one branch per batch; zero overhead off
+        # every lane touches its depth's nodes plus the root
+        count_node_visits("unibit", int(hist.sum(axis=0) @ np.arange(1, bins + 1)))
+    traces = tuple(
+        trace_from_histogram(row, group.n_stages, admission_rate=admission_rate)
+        for row in hist
+    )
+    return forest.best[node], traces
+
+
+def walk_engine(
+    forest: FrozenWalk, addresses: np.ndarray, engine: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(depths, results)`` of one engine's walk on the forest.
+
+    The degraded path's per-slice walk: the same kernel as the nominal
+    batch walk, with one engine index for every lane.
+    """
+    node = forest.walk(addresses, engine)
+    depths = forest.tag[node] - engine * (forest.depth + 1)
+    if REGISTRY.enabled:  # one branch per batch; zero overhead off
+        count_node_visits("unibit", int(depths.sum()) + len(node))
+    return depths, forest.best[node]
 
 
 @dataclass
@@ -504,7 +540,7 @@ def walk_degraded(
             0,
             faults,
             policy,
-            lambda m=group.merged, a=kept_addresses, v=kept_vnids: m.walk_batch(a, v),
+            lambda m=group.merged, a=kept_addresses, v=kept_vnids: m.walk_validated(a, v),
         )
         out.retries += walk_retries
         out.walk_failures += failures
@@ -534,11 +570,12 @@ def walk_degraded(
             )
         return out
 
-    # same structure-of-arrays discipline as the nominal path:
-    # admission sheds the *tail* of each engine's contiguous
-    # slice (arrival order within a VN is sort-stable), so the
-    # kept lookups stay a prefix of the slice and scatter back
-    # through the same permutation.
+    # head-of-slice admission needs each VN's arrivals contiguous:
+    # the VNID-sorted batch keeps arrival order within a VN (stable
+    # sort), so admission sheds the *tail* of each engine's slice,
+    # the kept lookups stay a prefix of it, each walks on the forest
+    # with that one engine, and the answers scatter back through the
+    # same permutation.
     part = group.distributor.partition(vnids)
     sorted_addresses = part.gather(addresses)
     engine_traces = []
@@ -553,7 +590,7 @@ def walk_degraded(
             vn,
             faults,
             policy,
-            lambda t=group.tries[vn], a=kept_addresses: t.walk_batch(a),
+            lambda f=group.forest, a=kept_addresses, e=vn: walk_engine(f, a, e),
         )
         out.retries += walk_retries
         out.walk_failures += failures

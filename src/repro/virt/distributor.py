@@ -6,6 +6,14 @@ the distributor's energy as negligible; this module makes that
 assumption explicit and checkable — the distributor has a (small,
 configurable) resource footprint and per-packet energy that default to
 the paper's zero-cost idealization but can be enabled in ablations.
+
+The nominal NV/VS serve path does not partition its batches: it walks
+a whole batch on one forest of the K engines, the VNIDs selecting each
+lane's engine (:func:`repro.serve.stages.walk_nominal`).
+:meth:`Distributor.partition` serves the callers that need each VN's
+lookups contiguous: the sharded front end (one contiguous VN range per
+shard), the degraded serve path (per-VN head-of-slice admission) and
+:class:`~repro.virt.separate.SeparateEngines`.
 """
 
 from __future__ import annotations

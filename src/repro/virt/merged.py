@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import MergeError
 from repro.iplookup.rib import NO_ROUTE
-from repro.iplookup.trie import NONE, TrieStats, UnibitTrie
+from repro.iplookup.trie import NONE, TrieStats, UnibitTrie, count_node_visits
 from repro.obs.registry import REGISTRY
 
 __all__ = [
@@ -81,6 +81,7 @@ class MergedTrie:
         "sum_input_nodes",
         "_frozen",
         "_nhi_matrix",
+        "_nhi_flat",
     )
 
     def __init__(
@@ -98,16 +99,19 @@ class MergedTrie:
         # read-only: leaf_vector hands out rows of it
         nhi_matrix.flags.writeable = False
         self._nhi_matrix = nhi_matrix
+        # row-major view: leaf row ``node``, column ``vnid`` sits at
+        # ``node * k + vnid``, one flat gather instead of a 2-D one
+        self._nhi_flat = nhi_matrix.reshape(-1)
         self.union_input_nodes = union_input_nodes
         self.sum_input_nodes = sum_input_nodes
         # freeze the lookup arrays once — the structure is immutable
         # (see class docstring), so no per-call revalidation is needed.
         # The walk is the per-VN engines' FrozenWalk kernel; for a full
         # trie the frozen arrays carry no parked nodes, so every walk
-        # lands on a real leaf index, which is what lets the 2-D NHI
-        # gather in walk_batch index the leaf's row directly.
+        # lands on a real leaf index, which is what lets the flat NHI
+        # gather in walk_validated index the leaf's row directly.
         frozen = structure._freeze()
-        if len(frozen.levels) != structure.num_nodes:
+        if len(frozen.tag) != structure.num_nodes:
             raise MergeError(
                 "merged structure must be full (leaf-pushed): a node with "
                 "exactly one child cannot carry a per-leaf NHI vector"
@@ -174,25 +178,36 @@ class MergedTrie:
         Returns per-pair ``(depths, results)``: the level of the leaf
         each address lands on (stages the shared engine touches) and
         the VN's next hop gathered from that leaf's K-wide vector.
-        The walk is :meth:`~repro.iplookup.trie.FrozenWalk.walk`;
-        depths come from the frozen node-level array and results from
-        a single 2-D NumPy gather ``nhi_matrix[leaf, vnid]`` — no
-        per-packet Python on tries up to 32 bits wide.
+        Checks the shapes and the VNID range (raising
+        :class:`~repro.errors.MergeError`), then runs
+        :meth:`walk_validated`.
         """
         vnids = np.asarray(vnids, dtype=np.int64)
         if np.shape(addresses) != vnids.shape:
             raise MergeError("addresses and vnids must have the same shape")
         if len(vnids) and (vnids.min() < 0 or vnids.max() >= self.k):
             raise MergeError("vnid out of range")
+        return self.walk_validated(addresses, vnids)
+
+    def walk_validated(
+        self, addresses: np.ndarray, vnids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`walk_batch` for a batch whose int64 VNIDs are known in range.
+
+        The serve path's entry: its validate stage has already checked
+        and cast the batch.  The walk is
+        :meth:`~repro.iplookup.trie.FrozenWalk.walk`; depths come from
+        the frozen node-level array and results from one flat gather
+        ``nhi_flat[leaf * k + vnid]`` — no per-packet Python on tries
+        up to 32 bits wide.
+        """
         node = self._frozen.walk(addresses)
-        depths = self._frozen.levels[node]
+        depths = self._frozen.tag[node]
         if REGISTRY.enabled:  # one branch per batch; zero overhead off
-            REGISTRY.counter(
-                "repro_trie_node_visits_total",
-                "Trie nodes touched by batch walks (root included)",
-                labels=("structure",),
-            ).labels("merged").inc(int(depths.sum()) + len(node))
-        return depths, self._nhi_matrix[node, vnids]
+            count_node_visits("merged", int(depths.sum()) + len(node))
+        node *= self.k
+        node += vnids
+        return depths, self._nhi_flat[node]
 
     def lookup_batch(self, addresses: np.ndarray, vnids: np.ndarray) -> np.ndarray:
         """Vectorized merged lookup over (address, vnid) pairs."""

@@ -60,8 +60,8 @@ class TestPipelineIntegration:
         tables, addresses, _ = consolidation
         trie = leaf_push(UnibitTrie(tables[0]))
         pipeline = LookupPipeline(trie, n_stages=32)
-        dense = pipeline.run(addresses[:200])
-        sparse = pipeline.run(addresses[:200], inter_arrival_gap=3)
+        _, dense = pipeline.run(addresses[:200])
+        _, sparse = pipeline.run(addresses[:200], inter_arrival_gap=3)
         assert sparse.mean_duty_cycle() < dense.mean_duty_cycle()
 
 

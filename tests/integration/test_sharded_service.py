@@ -113,6 +113,48 @@ class TestParityWithSyncService:
             run(svc.serve(addresses, vnids))
 
 
+#: bytes a sub-batch's request and reply may add beyond their per-lookup
+#: arrays: the message tuples, the trace's per-engine activity, its
+#: latency report and the pickle framing
+PIPE_OVERHEAD_BYTES = 4096
+
+
+class TestPipePayload:
+    @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
+    def test_a_nominal_sub_batch_crosses_the_pipe_in_14_bytes_per_lookup(
+        self, tables, scheme, monkeypatch
+    ):
+        """4-byte addresses and 1-byte local VNIDs out, 8-byte answers back,
+        once: the engine traces carry activity only."""
+        from multiprocessing.reduction import ForkingPickler
+
+        from repro.serve import frontend
+
+        sizes = []
+        roundtrip = frontend._ShardHandle.roundtrip
+
+        def measured(handle, message):
+            reply = roundtrip(handle, message)
+            if message[0] == "serve":
+                pickled = len(ForkingPickler.dumps(message)) + len(ForkingPickler.dumps(reply))
+                sizes.append((len(message[1].addresses), pickled))
+            return reply
+
+        monkeypatch.setattr(frontend._ShardHandle, "roundtrip", measured)
+        addresses, vnids = _batch(8000)
+
+        async def go():
+            async with _service(tables, scheme) as svc:
+                return await svc.serve(addresses, vnids)
+
+        results, _ = run(go())
+        assert np.array_equal(results, LookupService(tables, scheme).serve(addresses, vnids)[0])
+        assert len(sizes) == 2
+        for n, pickled in sizes:
+            assert n > 3000
+            assert pickled <= 14 * n + PIPE_OVERHEAD_BYTES, (n, pickled, pickled / n)
+
+
 def _fault(kind, scheme):
     """One injector aimed at shard 1's first engine (VM has only engine 0)."""
     engine = 0 if scheme is Scheme.VM else 2

@@ -39,8 +39,8 @@ def build_pipeline(routes) -> tuple[RoutingTable, LookupPipeline]:
 def test_pipeline_results_match_oracle(routes, addresses):
     table, pipeline = build_pipeline(routes)
     addrs = np.array(addresses, dtype=np.uint32)
-    trace = pipeline.run(addrs)
-    assert np.array_equal(trace.results, table.lookup_linear_batch(addrs))
+    results, _ = pipeline.run(addrs)
+    assert np.array_equal(results, table.lookup_linear_batch(addrs))
 
 
 @given(route_lists, address_arrays, st.integers(min_value=0, max_value=5))
@@ -48,7 +48,7 @@ def test_pipeline_results_match_oracle(routes, addresses):
 def test_cycle_accounting(routes, addresses, gap):
     _, pipeline = build_pipeline(routes)
     addrs = np.array(addresses, dtype=np.uint32)
-    trace = pipeline.run(addrs, inter_arrival_gap=gap)
+    _, trace = pipeline.run(addrs, inter_arrival_gap=gap)
     n = len(addrs)
     if n == 0:
         assert trace.total_cycles == 0
@@ -61,7 +61,7 @@ def test_cycle_accounting(routes, addresses, gap):
 def test_access_counts_bounded_and_monotone(routes, addresses):
     _, pipeline = build_pipeline(routes)
     addrs = np.array(addresses, dtype=np.uint32)
-    trace = pipeline.run(addrs)
+    _, trace = pipeline.run(addrs)
     acc = trace.accesses_per_stage
     assert (acc >= 0).all()
     assert (acc <= len(addrs)).all()
@@ -74,7 +74,7 @@ def test_access_counts_bounded_and_monotone(routes, addresses):
 def test_gap_does_not_change_results(routes, addresses):
     _, pipeline = build_pipeline(routes)
     addrs = np.array(addresses, dtype=np.uint32)
-    dense = pipeline.run(addrs, inter_arrival_gap=0)
-    sparse = pipeline.run(addrs, inter_arrival_gap=4)
-    assert np.array_equal(dense.results, sparse.results)
+    dense_results, dense = pipeline.run(addrs, inter_arrival_gap=0)
+    sparse_results, sparse = pipeline.run(addrs, inter_arrival_gap=4)
+    assert np.array_equal(dense_results, sparse_results)
     assert np.array_equal(dense.accesses_per_stage, sparse.accesses_per_stage)

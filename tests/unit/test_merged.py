@@ -118,6 +118,25 @@ class TestMergedLookup:
         with pytest.raises(MergeError):
             merged.lookup_batch(np.array([0], dtype=np.uint32), np.array([merged.k]))
 
+    @pytest.mark.parametrize("bad", ["negative", "k", "huge"])
+    def test_public_walk_batch_keeps_its_range_check(self, merged, bad):
+        # the serve path skips the check (walk_validated); direct callers may not
+        vnid = {"negative": -1, "k": merged.k, "huge": 1 << 40}[bad]
+        addresses = np.array([0, 1], dtype=np.uint32)
+        vnids = np.array([0, vnid], dtype=np.int64)
+        with pytest.raises(MergeError, match="vnid out of range"):
+            merged.walk_batch(addresses, vnids)
+
+    def test_walk_validated_equals_walk_batch(self, merged, random_addresses):
+        rng = np.random.default_rng(4)
+        vnids = rng.integers(0, merged.k, size=len(random_addresses), dtype=np.int64)
+        depths, results = merged.walk_validated(random_addresses, vnids)
+        checked_depths, checked = merged.walk_batch(random_addresses, vnids)
+        assert np.array_equal(depths, checked_depths)
+        assert np.array_equal(results, checked)
+        rows = merged._nhi_matrix[merged._frozen.walk(random_addresses), vnids]
+        assert np.array_equal(results, rows)
+
     def test_rejects_shape_mismatch(self, merged):
         with pytest.raises(MergeError):
             merged.lookup_batch(np.array([0, 1], dtype=np.uint32), np.array([0]))

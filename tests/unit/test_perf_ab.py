@@ -135,3 +135,26 @@ def test_markdown_shows_each_sides_range_beside_its_median(perf_ab):
     assert "| 100 | 90–130 | 99 | 95–101 |" in goodput
     p90 = next(line for line in text.splitlines() if line.startswith("| bulk | p90"))
     assert "| 10 | 9–14 | 10 | 10–10 |" in p90
+
+
+def test_each_row_counts_the_same_seed_pairs_the_change_won(perf_ab):
+    base = [record(goodput=g, p90=p) for g, p in ((100.0, 10.0), (100.0, 10.0), (100.0, 10.0))]
+    # goodput higher in pairs 1 and 3 and tied in 2; p90 lower only in pair 2
+    change = [record(goodput=g, p90=p) for g, p in ((101.0, 11.0), (100.0, 9.0), (120.0, 10.0))]
+    rows, failures = perf_ab.verdict(SPEC, runs(base={"bulk": base}, change={"bulk": change}))
+    assert failures == []
+    won = {r["metric"]: (r["wins"], r["pairs"]) for r in rows if r["workload"] == "bulk"}
+    assert won == {"goodput": (2, 3), "p90": (1, 3)}
+    text = perf_ab.render_markdown("HEAD~1", rows, failures)
+    goodput = next(line for line in text.splitlines() if line.startswith("| bulk | goodput"))
+    assert "| 2/3 |" in goodput
+    p90 = next(line for line in text.splitlines() if line.startswith("| bulk | p90"))
+    assert "| 1/3 |" in p90
+
+
+def test_the_win_count_does_not_change_the_verdict(perf_ab):
+    # the change loses every pair by less than the bound: 0 wins, still a pass
+    change = [record(goodput=95.0)] * 3
+    rows, failures = perf_ab.verdict(SPEC, runs(change={"bulk": change}))
+    assert failures == []
+    assert next(r for r in rows if r["metric"] == "goodput")["wins"] == 0

@@ -19,7 +19,8 @@ in speed during the gate drifts under both.
 The gate fails (exit 1) when any run reports ``correct: false``, when
 the change fails a larger share of its lookups than the base, or when
 any ``end_to_end`` metric's change median is worse than the base median
-by more than that metric's ``bound``.  Both sides ran on this host
+by more than that metric's ``bound``.  Each row also counts the
+same-seed pairs the change won, which the verdict does not use.  Both sides ran on this host
 minutes apart, so the host's speed cancels out of every comparison.
 The verdict, per-run values and medians are written to
 ``.perfbench_out/ab/ab.json`` and as a table to ``.perfbench_out/ab/ab.md``.
@@ -163,6 +164,8 @@ def verdict(spec: dict, runs: Runs) -> tuple[list[dict], list[str]]:
                 "base": values["base"], "change": values["change"],
                 "base_median": base, "change_median": change,
                 "regression": regression, "passed": passed,
+                "wins": pair_wins(values["base"], values["change"], metric["better"]),
+                "pairs": len(values["change"]),
             })
             if not passed:
                 failures.append(
@@ -170,6 +173,15 @@ def verdict(spec: dict, runs: Runs) -> tuple[list[dict], list[str]]:
                     f"worse than base median {base:.6g} (bound {metric['bound']:.0%})"
                 )
     return rows, failures
+
+
+def pair_wins(base: list[float], change: list[float], better: str) -> int:
+    """Same-seed pairs in which the change's value is strictly better.
+
+    Reported beside the medians, not gated on: with few pairs a median
+    can move on one run, and the count shows how many pairs agree.
+    """
+    return sum(_regression(b, c, better) < 0 for b, c in zip(base, change))
 
 
 def _span(values: list[float]) -> str:
@@ -186,18 +198,19 @@ def render_markdown(base_ref: str, rows: list[dict], failures: list[str]) -> str
         "sides alternated on one host. *Worse* is the change's regression against the "
         "base median, as a share of it; negative is better. Each side's range is the "
         "min–max of its runs: where the base's own range is wider than the bound, "
-        "one slow run can fail the gate on identical code.",
+        "one slow run can fail the gate on identical code. *Won* counts the same-seed "
+        "pairs in which the change's value was strictly better.",
         "",
         "| Workload | Metric | Better | Base median | Base range | Change median "
-        "| Change range | Worse | Bound | |",
-        "|---|---|---|---:|---:|---:|---:|---:|---:|---|",
+        "| Change range | Worse | Won | Bound | |",
+        "|---|---|---|---:|---:|---:|---:|---:|---:|---:|---|",
     ]
     for row in rows:
         lines.append(
             f"| {row['workload']} | {row['metric']} ({row['unit']}) | {row['better']} "
             f"| {row['base_median']:.6g} | {_span(row['base'])} "
             f"| {row['change_median']:.6g} | {_span(row['change'])} "
-            f"| {row['regression']:+.1%} | {row['bound']:.0%} "
+            f"| {row['regression']:+.1%} | {row['wins']}/{row['pairs']} | {row['bound']:.0%} "
             f"| {'ok' if row['passed'] else '**FAIL**'} |"
         )
     lines += ["", f"**Verdict: {'FAIL' if failures else 'PASS'}**", ""]
