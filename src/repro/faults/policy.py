@@ -30,6 +30,10 @@ SHED_RESULT: int = -2
 class DegradationPolicy:
     """How the serving layer degrades under active faults.
 
+    The sharded tier hands the same policy to every shard's
+    :class:`~repro.serve.service.LookupService`; its front end adds
+    no knob of its own.
+
     Attributes
     ----------
     shed_utilization:
@@ -47,20 +51,11 @@ class DegradationPolicy:
         immediately — the simulated faults are deterministic, so
         waiting buys nothing in-process; set it when fronting a real
         transient resource.
-    max_queue_batches:
-        Bound on each shard's dispatch queue in the sharded async
-        tier (:mod:`repro.serve.frontend`), in batches.  A shard whose
-        queue is full sheds the whole offered batch with
-        :data:`SHED_RESULT` instead of queueing it — backpressure is
-        the queue-level twin of ``shed_utilization``: both exist so a
-        saturated engine degrades by *bounded* shedding rather than by
-        unbounded waiting.
     """
 
     shed_utilization: float = 0.95
     max_retries: int = 2
     backoff_base_s: float = 0.0
-    max_queue_batches: int = 64
 
     def __post_init__(self) -> None:
         if not 0.0 < self.shed_utilization < 1.0:
@@ -75,10 +70,6 @@ class DegradationPolicy:
         if self.backoff_base_s < 0:
             raise ConfigurationError(
                 f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.max_queue_batches < 1:
-            raise ConfigurationError(
-                f"max_queue_batches must be >= 1, got {self.max_queue_batches}"
             )
 
     def backoff_s(self, attempt: int) -> float:

@@ -10,8 +10,7 @@ validate → admit → partition → walk → scatter → account):
 * :class:`ShardedLookupService` — the service tier: one
   ``LookupService`` per shared-nothing shard worker process
   (:mod:`repro.serve.shard`) behind an asyncio front end that adds
-  only fan-out, bounded-queue backpressure, reassembly and
-  shard-labeled metric scrape-merge.  See ``docs/SERVING.md``.
+  only fan-out, reassembly and shard-labeled metric scrape-merge.  See ``docs/SERVING.md``.
 
 Every serve returns the results plus a :class:`ServeTrace` carrying
 per-stage activity and a queueing-latency estimate, so throughput,

@@ -1,4 +1,4 @@
-"""Sharded asyncio serving tier: fan-out, backpressure, reassembly.
+"""Sharded asyncio serving tier: fan-out and reassembly.
 
 This is the "millions of users" face of the serving stack.  The serve
 core is :class:`~repro.serve.service.LookupService`, hosted once per
@@ -19,17 +19,16 @@ One batch flows as:
    VNIDs follow from the partition offsets and cross the pipe as one
    byte each; the answers come back once, beside activity-only
    engine traces;
-3. **backpressure** — each shard has a bounded dispatch queue
-   (:attr:`~repro.faults.DegradationPolicy.max_queue_batches`); a
-   full queue sheds the whole sub-batch with
-   :data:`~repro.faults.SHED_RESULT` instead of queueing without
-   bound.  The front end makes no other admission decision:
+3. **exchange** — every shard's sub-batch is sent before any reply is
+   awaited, and each reply is read by an event-loop reader on its
+   pipe, so the shards walk concurrently, each in its own process,
+   and the loop never blocks on a worker.  One lock per service
+   keeps each pipe strictly request/reply;
 4. **admit and walk** — each shard's ``LookupService`` admits per
    engine under its scoped fault plan
    (:func:`repro.serve.stages.plan_admission`, exactly the
-   single-process policy) and walks, concurrently in its own process
-   (the pipe round-trip runs in the default executor so the event
-   loop never blocks on a worker);
+   single-process policy) and walks.  The front end makes no
+   admission decision of its own;
 5. **scatter / account** — results scatter back to arrival order and
    the shard traces reassemble into one *global-shaped*
    :class:`~repro.serve.service.ServeTrace`, so the frontend's single
@@ -54,9 +53,8 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing as mp
-import threading
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -124,7 +122,7 @@ def _local_vnids(offsets: np.ndarray) -> np.ndarray:
 
 
 class _ShardHandle:
-    """One shard's frontend-side state: config, transport, queue."""
+    """One shard's frontend-side state: config and transport."""
 
     def __init__(
         self, config: ShardConfig, vn_lo: int, vn_hi: int, inline: bool = False
@@ -133,17 +131,11 @@ class _ShardHandle:
         self.vn_lo = vn_lo
         self.vn_hi = vn_hi
         self.inline = inline
-        self.queue: asyncio.Queue | None = None
-        self.task: asyncio.Task | None = None
         # process transport state
         self.process: mp.Process | None = None
         self.conn = None
         # inline transport state
         self.runtime: ShardRuntime | None = None
-        # the pipe is strict request/reply; the dispatcher serializes
-        # all async traffic, and this lock keeps shutdown (which talks
-        # to the worker from outside the dispatcher) honest too
-        self.lock = threading.Lock()
 
     @property
     def k_local(self) -> int:
@@ -172,33 +164,43 @@ class _ShardHandle:
         self.conn = parent
         self.process = process
 
-    def roundtrip(self, message: tuple[str, object]) -> tuple[str, object]:
-        """One synchronous request/reply exchange (runs in the executor)."""
-        with self.lock:
-            if self.runtime is not None:
-                return self.runtime.handle(message)
-            if self.conn is None:
-                raise ShardError(
-                    f"shard {self.config.shard_id} transport is not started"
+    def on_readable(self, loop: asyncio.AbstractEventLoop, reply: asyncio.Future) -> None:
+        """Reader callback: take one reply off the pipe into ``reply``.
+
+        The only place the front end calls ``recv()``: the reply (or
+        the EOF of a dead worker) is already waiting, so the event
+        loop never blocks on a worker that has not answered.
+        """
+        assert self.conn is not None
+        loop.remove_reader(self.conn.fileno())
+        try:
+            message = self.conn.recv()
+        except (EOFError, OSError) as error:
+            reply.set_exception(
+                ShardError(f"shard {self.config.shard_id} worker died: {error!r}")
+            )
+        except Exception as error:  # never leave the caller waiting
+            reply.set_exception(
+                ShardError(
+                    f"shard {self.config.shard_id} sent an unreadable reply: {error!r}"
                 )
-            try:
-                self.conn.send(message)
-                return self.conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as error:
-                raise ShardError(
-                    f"shard {self.config.shard_id} worker died: {error}"
-                ) from error
+            )
+        else:
+            self.resolve(reply, message)
+
+    @staticmethod
+    def resolve(reply: asyncio.Future, message: tuple[str, object]) -> None:
+        """Settle ``reply`` from a protocol reply: payload or ShardError."""
+        op, payload = message
+        if op == "error":
+            reply.set_exception(ShardError(str(payload)))
+        else:
+            reply.set_result(payload)
 
     def close_transport(self) -> None:
-        """Stop the worker and reclaim the process (idempotent)."""
-        if self.runtime is not None:
-            self.runtime = None
-            return
+        """Close the pipe and reclaim the process (idempotent)."""
+        self.runtime = None
         if self.conn is not None:
-            try:
-                self.roundtrip(("stop", None))
-            except ShardError:
-                pass
             self.conn.close()
             self.conn = None
         if self.process is not None:
@@ -237,8 +239,8 @@ class ShardedLookupService(TierControl):
         (:meth:`~repro.faults.FaultPlan.scoped_to_engines`), while
         device-wide storms reach every shard.
     policy:
-        Degradation knobs; :attr:`~repro.faults.DegradationPolicy.max_queue_batches`
-        bounds each shard's dispatch queue (backpressure).
+        Degradation knobs, passed to every shard's ``LookupService``
+        (admission and retries happen inside the shards).
     power_sampler:
         Optional sampler fed the reassembled *global* trace each
         batch, so per-VN/per-shard power attribution matches the
@@ -283,6 +285,9 @@ class ShardedLookupService(TierControl):
             power_sampler=power_sampler,
         )
         self._pending_reconfig: tuple[OperatingPoint, float] | None = None
+        # one exchange at a time: every pipe is strict request/reply
+        self._lock = asyncio.Lock()
+        self._in_flight: list[asyncio.Future] = []
         self.distributor = Distributor(k=self.k)
         self.bounds = shard_vn_bounds(self.k, n_shards)
         self._started = False
@@ -328,10 +333,10 @@ class ShardedLookupService(TierControl):
     def _on_reclock(self, point: OperatingPoint) -> None:
         """Queue the device-wide rail decision for every shard.
 
-        The broadcast rides the dispatch queues at the *start of the
-        next served batch*: the pipe protocol is strict request/reply,
-        and a decision made while a batch is accounted must never
-        interleave with it.
+        The broadcast is one exchange at the *start of the next served
+        batch*: the pipe protocol is strict request/reply, and a
+        decision made while a batch is accounted must never interleave
+        with it.
         """
         self._pending_reconfig = (point, self._nominal_load_fraction)
 
@@ -339,17 +344,9 @@ class ShardedLookupService(TierControl):
         """Broadcast a pending operating point to every shard runtime."""
         if self._pending_reconfig is None:
             return
-        payload = self._pending_reconfig
+        message = ("reconfig", self._pending_reconfig)
         self._pending_reconfig = None
-        loop = asyncio.get_running_loop()
-        futures = []
-        for handle in self.shards:
-            future: asyncio.Future = loop.create_future()
-            assert handle.queue is not None
-            await handle.queue.put((("reconfig", payload), future))
-            futures.append(future)
-        for future in futures:
-            await future
+        await self._exchange([(handle, message) for handle in self.shards])
 
     # -- capacity ---------------------------------------------------------
 
@@ -365,39 +362,24 @@ class ShardedLookupService(TierControl):
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> "ShardedLookupService":
-        """Boot the shard workers and their dispatchers."""
-        if self._started:
-            return self
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._start_transports)
-        for handle in self.shards:
-            handle.queue = asyncio.Queue(maxsize=self.policy.max_queue_batches)
-            handle.task = asyncio.create_task(self._dispatch_loop(handle))
-        self._started = True
+        """Boot the shard workers (they build their engines on their own)."""
+        if not self._started:
+            for handle in self.shards:
+                handle.start_transport()
+            self._started = True
         return self
 
-    def _start_transports(self) -> None:
-        for handle in self.shards:
-            handle.start_transport()
-
     async def stop(self) -> None:
-        """Drain the dispatchers and stop every worker (idempotent)."""
+        """Stop every worker and reclaim it (idempotent)."""
         if not self._started:
             return
-        for handle in self.shards:
-            if handle.queue is not None:
-                await handle.queue.put(None)
-        for handle in self.shards:
-            if handle.task is not None:
-                await handle.task
-                handle.task = None
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._close_transports)
-        self._started = False
-
-    def _close_transports(self) -> None:
+        try:
+            await self._exchange([(handle, ("stop", None)) for handle in self.shards])
+        except ShardError:
+            pass  # a dead worker needs no goodbye
         for handle in self.shards:
             handle.close_transport()
+        self._started = False
 
     async def __aenter__(self) -> "ShardedLookupService":
         return await self.start()
@@ -405,36 +387,43 @@ class ShardedLookupService(TierControl):
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
 
-    async def _dispatch_loop(self, handle: _ShardHandle) -> None:
-        """Per-shard dispatcher: pop the bounded queue, run the pipe
-        round-trip in the executor, resolve the caller's future."""
+    async def _exchange(
+        self, messages: list[tuple[_ShardHandle, tuple[str, object]]]
+    ) -> list[Any]:
+        """Send every shard its message, then await every reply.
+
+        Over the pipe, each message is sent before any reply is
+        awaited, and a reader on the pipe's descriptor
+        (:meth:`_ShardHandle.on_readable`) takes the reply off it;
+        inline, the runtime answers on the spot.  Returns the reply
+        payloads in ``messages`` order.  A dead worker or an
+        ``("error", traceback)`` reply raises
+        :class:`~repro.errors.ShardError`, but only once every other
+        shard has answered, so no reply is left in a pipe.  A caller
+        cancelled mid-exchange leaves its replies in flight; the next
+        exchange lets them land before it sends.
+        """
         loop = asyncio.get_running_loop()
-        assert handle.queue is not None
-        while True:
-            item = await handle.queue.get()
-            if item is None:
-                handle.queue.task_done()
-                return
-            message, future = item
-            try:
-                op, payload = await loop.run_in_executor(
-                    None, handle.roundtrip, message
-                )
-            except Exception as error:  # worker/pipe death
-                if not future.cancelled():
-                    future.set_exception(
-                        error
-                        if isinstance(error, ShardError)
-                        else ShardError(str(error))
-                    )
-            else:
-                if future.cancelled():
-                    pass
-                elif op == "error":
-                    future.set_exception(ShardError(str(payload)))
-                else:
-                    future.set_result(payload)
-            handle.queue.task_done()
+        async with self._lock:
+            if self._in_flight:
+                await asyncio.wait(self._in_flight)
+            replies: list[asyncio.Future] = []
+            self._in_flight = replies
+            for handle, message in messages:
+                reply = loop.create_future()
+                replies.append(reply)
+                if handle.runtime is not None:
+                    handle.resolve(reply, handle.runtime.handle(message))
+                    continue
+                assert handle.conn is not None, "the service is started"
+                try:
+                    handle.conn.send(message)
+                except ConnectionError:
+                    pass  # the worker is gone: the reader reports its EOF
+                loop.add_reader(handle.conn.fileno(), handle.on_readable, loop, reply)
+            if replies:
+                await asyncio.wait(replies)
+        return [reply.result() for reply in replies]
 
     # -- serving ----------------------------------------------------------
 
@@ -445,8 +434,9 @@ class ShardedLookupService(TierControl):
 
         Same contract as :meth:`LookupService.serve`, asynchronously:
         next hops in arrival order plus a global-shaped
-        :class:`ServeTrace`; shed lookups (shard-internal admission
-        or backpressure) answer :data:`~repro.faults.SHED_RESULT`.
+        :class:`ServeTrace`; lookups shed by shard admission answer
+        :data:`~repro.faults.SHED_RESULT`.  A dead worker raises
+        :class:`~repro.errors.ShardError`.
         """
         if not self._started:
             raise ShardError("service is not started; use 'async with' or start()")
@@ -459,8 +449,8 @@ class ShardedLookupService(TierControl):
         sorted_addresses = part.gather(addresses)
         vn_shed = np.zeros(self.k, dtype=np.int64)
         results = np.full(len(addresses), SHED_RESULT, dtype=np.int64)
-        loop = asyncio.get_running_loop()
-        pending: list[tuple[_ShardHandle, np.ndarray, asyncio.Future]] = []
+        messages: list[tuple[_ShardHandle, tuple[str, object]]] = []
+        positions: list[np.ndarray] = []
         for handle in self.shards:
             lo, hi = handle.vn_lo, handle.vn_hi
             sl = slice(int(part.offsets[lo]), int(part.offsets[hi]))
@@ -473,26 +463,15 @@ class ShardedLookupService(TierControl):
                 queue_seed=batch_index * len(self.shards)
                 + handle.config.shard_id,
             )
-            future: asyncio.Future = loop.create_future()
-            assert handle.queue is not None
-            try:
-                handle.queue.put_nowait((("serve", request), future))
-            except asyncio.QueueFull:
-                # backpressure: a saturated shard sheds its whole
-                # sub-batch instead of queueing without bound
-                future.cancel()
-                vn_shed[lo:hi] = np.diff(part.offsets[lo : hi + 1])
-                self._record_backpressure(handle)
-                continue
-            self._record_queue_depth(handle)
-            pending.append((handle, part.order[sl], future))
+            messages.append((handle, ("serve", request)))
+            positions.append(part.order[sl])
 
+        outcomes = await self._exchange(messages)
         shard_results: dict[int, ShardBatchResult] = {}
-        for handle, positions, future in pending:
-            outcome = await future
+        for (handle, _), outcome, where in zip(messages, outcomes, positions):
             assert isinstance(outcome, ShardBatchResult)
             shard_results[handle.config.shard_id] = outcome
-            results[positions] = outcome.results
+            results[where] = outcome.results
             # the shard's own admission and walk shedding, rebased to
             # global VNs (empty on a nominal batch)
             if outcome.trace.vn_shed:
@@ -621,24 +600,6 @@ class ShardedLookupService(TierControl):
 
     # -- metrics ----------------------------------------------------------
 
-    def _record_backpressure(self, handle: _ShardHandle) -> None:
-        if self._registry.enabled:
-            self._registry.counter(
-                "repro_frontend_shed_batches_total",
-                "Sub-batches shed by bounded-queue backpressure",
-                labels=("scheme", "shard"),
-            ).labels(self.scheme.name, handle.config.shard_id).inc()
-
-    def _record_queue_depth(self, handle: _ShardHandle) -> None:
-        if self._registry.enabled and handle.queue is not None:
-            self._registry.gauge(
-                "repro_frontend_queue_depth",
-                "Dispatch-queue depth per shard, batches",
-                labels=("scheme", "shard"),
-            ).labels(self.scheme.name, handle.config.shard_id).set(
-                handle.queue.qsize()
-            )
-
     def _publish(self, trace: ServeTrace, batch_index: int) -> None:
         """Frontend-side metrics, span and power for one served batch."""
         metrics_on = self._registry.enabled
@@ -669,7 +630,7 @@ class ShardedLookupService(TierControl):
             if trace.n_shed:
                 shed = self._registry.counter(
                     "repro_frontend_shed_lookups_total",
-                    "Lookups shed by shard admission or frontend backpressure",
+                    "Lookups shed by shard admission",
                     labels=("scheme", "vn"),
                 )
                 for vn, count in enumerate(trace.vn_shed):
@@ -699,21 +660,16 @@ class ShardedLookupService(TierControl):
     async def scrape(self) -> list[RegistrySnapshot]:
         """Collect every shard's shard-labeled registry snapshot.
 
-        Scrapes ride the same per-shard dispatch queue as traffic (the
-        pipe is strict request/reply), so a scrape never interleaves
-        with an in-flight batch; the frontend's own registry joins the
-        list labeled ``shard="frontend"``.
+        A scrape is one exchange like a batch (the pipe is strict
+        request/reply), so it never interleaves with an in-flight
+        batch; the frontend's own registry joins the list labeled
+        ``shard="frontend"``.
         """
         if not self._started:
             raise ShardError("service is not started; use 'async with' or start()")
-        loop = asyncio.get_running_loop()
-        futures = []
-        for handle in self.shards:
-            future: asyncio.Future = loop.create_future()
-            assert handle.queue is not None
-            await handle.queue.put((("metrics", None), future))
-            futures.append(future)
-        snapshots = [await future for future in futures]
+        snapshots = await self._exchange(
+            [(handle, ("metrics", None)) for handle in self.shards]
+        )
         snapshots.append(snapshot_registry(self._registry, shard="frontend"))
         return snapshots
 

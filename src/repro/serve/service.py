@@ -16,13 +16,13 @@ enters once and is routed according to the deployment scheme —
 
 The service itself is a thin composition of the stage functions in
 :mod:`repro.serve.stages` (validate → admit → walk → account; the
-degraded path adds a per-VN partition and scatter) plus the instrumentation shell.  It is the one
-serve core: the sharded async tier (:mod:`repro.serve.frontend`)
-hosts one ``LookupService`` per shard worker
-(:mod:`repro.serve.shard`) and only fans batches out and back in, and
-both tiers share their control plane through :class:`TierControl` —
-which is what keeps the library call and the service tier identical,
-shed lookups included.
+degraded path adds a per-VN partition and scatter) plus the
+instrumentation shell.  It is the one serve core: the sharded async
+tier (:mod:`repro.serve.frontend`) hosts one ``LookupService`` per
+shard worker (:mod:`repro.serve.shard`) and only fans batches out and
+back in, and both tiers share their control plane through
+:class:`TierControl` — which is what keeps the library call and the
+service tier identical, shed lookups included.
 
 Besides the results, every call returns a :class:`ServeTrace`: the
 per-stage activity each engine would exhibit (via the closed-form

@@ -12,7 +12,8 @@ and ships every shard its contiguous sub-batch over a
 rebased to the shard's range.
 
 The worker protocol is a strict request/reply alternation per pipe
-(the frontend serializes access through one dispatcher per shard):
+(the frontend holds one lock per service across each exchange, which
+sends every shard its request before it awaits the replies):
 
 ========================  =============================================
 request                   reply

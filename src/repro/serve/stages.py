@@ -6,8 +6,8 @@ process walks.  :class:`repro.serve.service.LookupService` composes
 every stage; the sharded tier (:mod:`repro.serve.frontend`) hosts one
 such service per shard worker (:mod:`repro.serve.shard`), so admission
 is decided once, per engine inside the shard, by the same
-:func:`plan_admission` as the synchronous tier — the frontend only
-adds bounded-queue backpressure.  Either way the pipeline is:
+:func:`plan_admission` as the synchronous tier — the frontend makes
+no admission decision of its own.  Either way the pipeline is:
 
     validate_batch          strict typed rejection, never coerce
         │

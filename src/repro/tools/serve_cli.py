@@ -16,7 +16,7 @@ Subcommands
 
 Both commands build the same synthetic tables the other CLIs use
 (``--prefixes``, ``--seed``); the tier's behaviour — admission,
-backpressure, scatter order — does not depend on table size.
+fan-out, scatter order — does not depend on table size.
 """
 
 from __future__ import annotations

@@ -151,19 +151,6 @@ class Distributor:
         np.cumsum(counts, out=offsets[1:])
         return BatchPartition(order=order, offsets=offsets)
 
-    def route(self, vnids: np.ndarray) -> list[np.ndarray]:
-        """Partition packet indices by VNID (index-array view).
-
-        Returns a list of ``k`` index arrays: entry ``i`` holds the
-        positions of the packets destined for engine ``i``, preserving
-        arrival order within each engine.  Thin compatibility wrapper
-        over :meth:`partition`; hot paths should consume the
-        :class:`BatchPartition` directly and work on its contiguous
-        slices instead of fancy-indexing per engine.
-        """
-        part = self.partition(vnids)
-        return [part.engine_indices(i) for i in range(self.k)]
-
     def energy_j(self, n_packets: int) -> float:
         """Total distribution energy for ``n_packets`` packets."""
         if n_packets < 0:

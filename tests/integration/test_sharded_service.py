@@ -12,7 +12,10 @@ Pins the tier's contract from the sharded-service milestone:
   simulation's agreement with that closed form is a model check and
   lives in ``tests/unit/test_queueing.py``);
 * a saturated shard sheds with :data:`~repro.faults.SHED_RESULT`
-  markers and error-budget metrics behind a *bounded* dispatch queue;
+  markers and error-budget metrics;
+* a dead worker raises :class:`~repro.errors.ShardError` instead of
+  hanging, and concurrent callers of one service each get their own
+  answers;
 * per-shard power attribution sums to the single-process sampler's
   total within 1%;
 * the merged multi-shard exposition is consistent: the sum of the
@@ -20,6 +23,7 @@ Pins the tier's contract from the sharded-service milestone:
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -27,11 +31,11 @@ import pytest
 from repro.errors import ConfigurationError, ShardError
 from repro.faults.injectors import BramWriteStorm, EngineStall
 from repro.faults.plan import FaultPlan, FaultWindow
-from repro.faults.policy import SHED_RESULT, DegradationPolicy
+from repro.faults.policy import SHED_RESULT
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
 from repro.obs.export import parse_prometheus_text, render_prometheus
 from repro.obs.registry import MetricsRegistry
-from repro.obs.snapshot import restore_registry
+from repro.obs.snapshot import merge_snapshots, restore_registry
 from repro.obs.tracing import Tracer
 from repro.serve import LookupService, ShardedLookupService, shard_vn_bounds
 from repro.virt.schemes import Scheme
@@ -131,16 +135,18 @@ class TestPipePayload:
         from repro.serve import frontend
 
         sizes = []
-        roundtrip = frontend._ShardHandle.roundtrip
+        exchange = frontend.ShardedLookupService._exchange
 
-        def measured(handle, message):
-            reply = roundtrip(handle, message)
-            if message[0] == "serve":
-                pickled = len(ForkingPickler.dumps(message)) + len(ForkingPickler.dumps(reply))
-                sizes.append((len(message[1].addresses), pickled))
-            return reply
+        async def measured(svc, messages):
+            payloads = await exchange(svc, messages)
+            for (_, message), payload in zip(messages, payloads):
+                if message[0] == "serve":
+                    sent = ForkingPickler.dumps(message)
+                    received = ForkingPickler.dumps(("ok", payload))
+                    sizes.append((len(message[1].addresses), len(sent) + len(received)))
+            return payloads
 
-        monkeypatch.setattr(frontend._ShardHandle, "roundtrip", measured)
+        monkeypatch.setattr(frontend.ShardedLookupService, "_exchange", measured)
         addresses, vnids = _batch(8000)
 
         async def go():
@@ -253,43 +259,6 @@ class TestSaturationShedding:
         assert np.all(results[vnids == 2] == SHED_RESULT)
         assert trace.n_shed == int((vnids == 2).sum())
 
-    def test_dispatch_queue_is_bounded_and_full_queue_sheds(self, tables):
-        policy = DegradationPolicy(max_queue_batches=2)
-        registry = MetricsRegistry(enabled=True)
-        addresses, vnids = _batch(2000)
-
-        async def go():
-            async with _service(tables, policy=policy, registry=registry) as svc:
-                handle = svc.shards[0]
-                assert handle.queue.maxsize == 2
-                # wedge shard 0: park its dispatcher and fill the queue
-                handle.task.cancel()
-                try:
-                    await handle.task
-                except asyncio.CancelledError:
-                    pass
-                loop = asyncio.get_running_loop()
-                parked = []
-                while not handle.queue.full():
-                    future = loop.create_future()
-                    parked.append(future)
-                    handle.queue.put_nowait((("metrics", None), future))
-                results, trace = await svc.serve(addresses, vnids)
-                # un-wedge so shutdown can drain cleanly
-                while not handle.queue.empty():
-                    handle.queue.get_nowait()
-                    handle.queue.task_done()
-                handle.task = asyncio.create_task(svc._dispatch_loop(handle))
-                return results, trace
-
-        results, trace = run(go())
-        shard0 = vnids < 2
-        assert np.all(results[shard0] == SHED_RESULT)
-        assert np.all(results[~shard0] != SHED_RESULT)
-        backpressure = registry.get("repro_frontend_shed_batches_total")
-        assert backpressure is not None
-        assert sum(child.value for _, child in backpressure.samples()) == 1
-
 
 class TestPowerAttribution:
     @pytest.mark.parametrize(
@@ -358,16 +327,19 @@ class TestMergedMetricsConsistency:
         frontend's own per-shard families keep their single ``shard``
         label instead of gaining ``shard="frontend"`` on top of it."""
 
+        from repro.obs.power import PowerTelemetrySampler
+
         async def go():
-            async with _service(tables) as svc:
+            sampler = PowerTelemetrySampler(Scheme.VS, K)
+            async with _service(tables, power_sampler=sampler) as svc:
                 addresses, vnids = _batch(1000)
                 await svc.serve(addresses, vnids)
                 return await svc.merged_snapshot()
 
         text = render_prometheus(restore_registry(run(go())))
         families = parse_prometheus_text(text)
-        depth = families["repro_frontend_queue_depth"]["samples"]
-        assert sorted(labels["shard"] for _, labels, _ in depth) == ["0", "1"]
+        watts = families["repro_shard_power_watts"]["samples"]
+        assert sorted(labels["shard"] for _, labels, _ in watts) == ["0", "1"]
         lookups = families["repro_serve_lookups_total"]["samples"]
         assert {labels["shard"] for _, labels, _ in lookups} == {"0", "1"}
         frontend = families["repro_frontend_batches_total"]["samples"]
@@ -385,3 +357,85 @@ class TestMergedMetricsConsistency:
         frontend = snapshots[-1]
         assert frontend.counter_total("repro_frontend_batches_total") == 1
         assert frontend.counter_total("repro_frontend_lookups_total") == 1000
+
+
+#: wall-time bound on a process-transport test that must not hang
+NO_HANG_S = 60.0
+
+
+def run_bounded(coro):
+    """``asyncio.run`` on a daemon thread that fails the test after
+    :data:`NO_HANG_S` instead of hanging it: a wedged exchange would
+    also wedge the service's shutdown, so no timeout inside the event
+    loop could end it."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = asyncio.run(coro)
+        except BaseException as error:  # re-raised on the test's thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(NO_HANG_S)
+    assert not thread.is_alive(), f"the exchange hung for {NO_HANG_S:.0f} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class TestProcessExchange:
+    """The front end's one exchange per batch: every sub-batch is sent,
+    then each reply is read off its pipe by an event-loop reader."""
+
+    def test_dead_worker_raises_shard_error_without_hanging(self, tables):
+        """The send to a dead worker fails quietly; the reader then sees
+        the pipe's EOF and reports the death."""
+        addresses, vnids = _batch(4000)
+
+        async def go():
+            async with _service(tables, transport="process") as svc:
+                await svc.serve(addresses, vnids)
+                victim = svc.shards[1].process
+                victim.terminate()
+                victim.join()
+                with pytest.raises(ShardError, match="shard 1 worker died"):
+                    await svc.serve(addresses, vnids)
+
+        run_bounded(go())
+
+    def test_concurrent_serves_and_scrape_are_serialized(self, tables):
+        first, second = _batch(3000, seed=5), _batch(2000, seed=6)
+
+        async def go():
+            async with _service(tables, transport="process") as svc:
+                return await asyncio.gather(
+                    svc.serve(*first), svc.serve(*second), svc.scrape()
+                )
+
+        (results_a, _), (results_b, _), snapshots = run_bounded(go())
+        sync = LookupService(tables, Scheme.VS)
+        assert np.array_equal(results_a, sync.serve(*first)[0])
+        assert np.array_equal(results_b, sync.serve(*second)[0])
+        merged = merge_snapshots(snapshots)
+        assert merged.counter_total("repro_serve_lookups_total") == 5000
+        assert merged.counter_total("repro_frontend_batches_total") == 2
+
+    def test_cancelled_serve_leaves_no_reply_in_the_pipes(self, tables):
+        """A caller cancelled mid-exchange must not leave its replies to
+        be read as the next exchange's answers."""
+        first, second = _batch(20_000, seed=7), _batch(3000, seed=8)
+
+        async def go():
+            async with _service(tables, transport="process") as svc:
+                await svc.serve(*second)
+                task = asyncio.create_task(svc.serve(*first))
+                await asyncio.sleep(0)  # the task sends, then awaits the replies
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                return await svc.serve(*second)
+
+        results, _ = run_bounded(go())
+        assert np.array_equal(results, LookupService(tables, Scheme.VS).serve(*second)[0])

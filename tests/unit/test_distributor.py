@@ -7,11 +7,16 @@ from repro.errors import ConfigurationError
 from repro.virt.distributor import Distributor
 
 
+def _engine_indices(d, vnids):
+    part = d.partition(vnids)
+    return [part.engine_indices(i) for i in range(d.k)]
+
+
 class TestRouting:
     def test_partition_is_complete_and_disjoint(self):
         d = Distributor(k=4)
         vnids = np.array([0, 1, 2, 3, 0, 1, 2, 3, 3])
-        parts = d.route(vnids)
+        parts = _engine_indices(d, vnids)
         all_indices = np.concatenate(parts)
         assert sorted(all_indices) == list(range(len(vnids)))
         assert len(parts[3]) == 3
@@ -19,15 +24,15 @@ class TestRouting:
     def test_order_preserved_within_engine(self):
         d = Distributor(k=2)
         vnids = np.array([0, 1, 0, 1, 0])
-        parts = d.route(vnids)
+        parts = _engine_indices(d, vnids)
         assert list(parts[0]) == [0, 2, 4]
 
     def test_rejects_out_of_range_vnid(self):
         with pytest.raises(ConfigurationError):
-            Distributor(k=2).route(np.array([0, 2]))
+            Distributor(k=2).partition(np.array([0, 2]))
 
     def test_empty_stream(self):
-        parts = Distributor(k=3).route(np.array([], dtype=np.int64))
+        parts = _engine_indices(Distributor(k=3), np.array([], dtype=np.int64))
         assert all(len(p) == 0 for p in parts)
 
 
