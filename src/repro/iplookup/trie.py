@@ -44,6 +44,7 @@ __all__ = [
     "TrieStats",
     "FrozenWalk",
     "NONE",
+    "WalkWorkspace",
     "count_node_visits",
     "freeze_forest",
 ]
@@ -107,7 +108,12 @@ class FrozenWalk:
     width: int
     offsets: tuple[int, ...]
 
-    def walk(self, addresses: np.ndarray, engines: np.ndarray | int = 0) -> np.ndarray:
+    def walk(
+        self,
+        addresses: np.ndarray,
+        engines: np.ndarray | int = 0,
+        workspace: WalkWorkspace | None = None,
+    ) -> np.ndarray:
         """The node each address's walk ends on (or parks on).
 
         ``engines`` names each lane's trie: an array beside
@@ -120,46 +126,111 @@ class FrozenWalk:
         :attr:`UnibitTrie.STRIDE` more with one ``delta`` gather, and
         every level past the strides is one gather over the flat
         self-looping child array — no per-level masking anywhere.
-        The steps update their index and node arrays in place: on a
-        large batch, fresh temporaries cost more than the arithmetic.
+
+        Every step writes into the lane buffers of ``workspace`` (a
+        fresh :class:`WalkWorkspace` when none is given), so a caller
+        that keeps one workspace allocates nothing per batch once its
+        buffers have grown to the batch size.  The returned node array
+        is a view of that workspace, valid until its next walk.
+        The jump key is the one index built from caller input (the
+        engine): it is range-checked, and an engine outside ``0 ..
+        K - 1`` raises :class:`~repro.errors.TrieError`.  Every later
+        index is in range by construction, so those gathers use
+        ``np.take(..., mode="wrap")``, which writes straight into its
+        ``out`` buffer (``mode="raise"`` copies the whole result first).
         Addresses wider than 32 bits exceed the NumPy word size, so
         they are shifted as Python integers and only the extracted
         bits and node indices are NumPy integers.
         """
+        ws = WalkWorkspace() if workspace is None else workspace
         width = self.width
-        wide = width > 32
+        word, key, node, gather = ws.lanes(len(addresses))
         # one word per lane holding the engine above the address bits:
         # the jump key and every stride pattern are bit fields of it
-        if wide:
-            addr = np.array([int(a) for a in addresses], dtype=object)
-            full = (np.asarray(engines, dtype=np.int64).astype(object) << width) | addr
-        elif np.ndim(engines) == 0:
-            full = np.asarray(addresses, dtype=np.uint32).astype(np.int64)
-            if engines:
-                full |= int(engines) << width
-        else:
-            full = np.left_shift(engines, width, dtype=np.int64)
-            full |= np.asarray(addresses, dtype=np.uint32)
+        if width > 32:
+            wide = np.array([int(a) for a in addresses], dtype=object)
+            wide |= np.asarray(engines, dtype=np.int64).astype(object) << width
 
-        def field(shift: int, mask: int | None = None) -> np.ndarray:
-            """The lanes' bits from ``shift`` up, under ``mask``."""
-            out = full >> shift
-            if mask is not None:
-                out &= mask
-            return out.astype(np.int64) if wide else out
+            def field(shift: int, mask: int | None = None) -> None:
+                """The lanes' bits from ``shift`` up, under ``mask``, into ``key``."""
+                key[:] = wide >> shift if mask is None else (wide >> shift) & mask
+
+        else:
+            if np.ndim(engines) == 0:
+                np.copyto(word, np.asarray(addresses, dtype=np.uint32))
+                if engines:
+                    np.bitwise_or(word, int(engines) << width, out=word)
+            else:
+                np.left_shift(engines, width, out=word, dtype=np.int64)
+                np.bitwise_or(word, np.asarray(addresses, dtype=np.uint32), out=word)
+
+            def field(shift: int, mask: int | None = None) -> None:
+                """The lanes' bits from ``shift`` up, under ``mask``, into ``key``."""
+                np.right_shift(word, shift, out=key)
+                if mask is not None:
+                    np.bitwise_and(key, mask, out=key)
 
         level = self.jump_stride
-        node = self.jump[field(width - level)]
+        field(width - level)
+        # a negative key reads as a huge unsigned one, so one max
+        # checks both ends of the table
+        if len(key) and key.view(np.uint64).max() >= len(self.jump):
+            raise TrieError(f"engine out of range 0..{len(self.offsets) - 2}")
+        np.take(self.jump, key, out=node, mode="wrap")
         for start, bits in self.strides:
-            key = field(width - start - bits, (1 << bits) - 1)
-            key |= self.rowbase[node]
-            node += self.delta[key]
+            field(width - start - bits, (1 << bits) - 1)
+            np.take(self.rowbase, node, out=gather, mode="wrap")
+            np.bitwise_or(key, gather, out=key)
+            np.take(self.delta, key, out=gather, mode="wrap")
+            np.add(node, gather, out=node)
             level = start + bits
         for lvl in range(level, self.depth):
-            key = field(width - 1 - lvl, 1)
-            key |= node << 1
-            node = self.childflat[key]
+            field(width - 1 - lvl, 1)
+            np.left_shift(node, 1, out=node)
+            np.bitwise_or(key, node, out=key)
+            np.take(self.childflat, key, out=node, mode="wrap")
         return node
+
+    def tags(self, node: np.ndarray, workspace: WalkWorkspace) -> np.ndarray:
+        """``tag[node]`` for nodes :meth:`walk` returned on ``workspace``.
+
+        Gathered into the workspace's ``key`` buffer as int64, so a
+        ``bincount`` reads it without a cast; a view, valid until the
+        workspace's next walk.
+        """
+        return np.take(self.tag, node, out=workspace.key[: len(node)], mode="wrap")
+
+
+class WalkWorkspace:
+    """The lane buffers one :meth:`FrozenWalk.walk` at a time writes into.
+
+    ``word`` holds each lane's engine above its address bits, ``key``
+    the index of the current gather, ``node`` the node each lane has
+    reached (all int64) and ``gather`` one int32 stride-table gather.
+    The buffers grow to the largest batch seen and are reused by every
+    later walk, so steady-state batches allocate no walk temporaries —
+    above glibc's mmap threshold each fresh temporary came back as new
+    pages that page-faulted on every batch.  Arrays a walk returns are
+    views of these buffers: a workspace serves one walk at a time, and
+    its owner consumes a walk's views before it starts the next.
+    """
+
+    __slots__ = ("word", "key", "node", "gather")
+
+    def __init__(self) -> None:
+        self._grow(0)
+
+    def _grow(self, n: int) -> None:
+        self.word = np.empty(n, dtype=np.int64)
+        self.key = np.empty(n, dtype=np.int64)
+        self.node = np.empty(n, dtype=np.int64)
+        self.gather = np.empty(n, dtype=np.int32)
+
+    def lanes(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(word, key, node, gather)`` views of the first ``n`` lanes."""
+        if n > len(self.node):
+            self._grow(n)
+        return self.word[:n], self.key[:n], self.node[:n], self.gather[:n]
 
 
 def count_node_visits(structure: str, visits: int) -> None:
@@ -493,15 +564,17 @@ class UnibitTrie:
         """Vectorized walk: per-address depth reached and LPM result.
 
         Runs :meth:`FrozenWalk.walk` over the frozen snapshot (built
-        on first use, see :meth:`freeze`); the per-lane depth and LPM
-        answer come from two final gathers (``tag`` — the level, for
-        one trie — and ``best``) — no per-call array setup.  The depth
+        on first use, see :meth:`freeze`) on a fresh
+        :class:`WalkWorkspace`; the per-lane depth and LPM answer come
+        from two final gathers (``tag`` — the level, for one trie — and
+        ``best``) — no per-call array setup.  The depth
         is the number of levels the walk descended — the quantity the
         pipeline simulator converts into per-stage memory accesses.
         """
         frozen = self._freeze()
-        node = frozen.walk(addresses)
-        depths = frozen.tag[node]
+        workspace = WalkWorkspace()  # the caller owns the returned depths
+        node = frozen.walk(addresses, 0, workspace)
+        depths = frozen.tags(node, workspace)
         best = frozen.best[node]
         if REGISTRY.enabled:  # one branch per batch; zero overhead off
             count_node_visits("unibit", int(depths.sum()) + len(node))

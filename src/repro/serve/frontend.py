@@ -54,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing as mp
 import time
+from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -133,7 +134,7 @@ class _ShardHandle:
         self.inline = inline
         # process transport state
         self.process: mp.Process | None = None
-        self.conn = None
+        self.conn: Connection | None = None
         # inline transport state
         self.runtime: ShardRuntime | None = None
 
@@ -145,8 +146,15 @@ class _ShardHandle:
     def n_engines(self) -> int:
         return self.config.scheme.engines_required(self.k_local)
 
-    def start_transport(self) -> None:
-        """Boot the worker (process transport) or build it inline."""
+    def start_transport(self, front_ends: tuple[Connection, ...] = ()) -> None:
+        """Boot the worker (process transport) or build it inline.
+
+        ``front_ends`` are the front end's ends of the pipes already
+        open (earlier shards').  A forked worker inherits them and its
+        own pipe's front-end end; it closes them all first, so when the
+        front end dies without :meth:`ShardedLookupService.stop`, each
+        worker's pipe reaches EOF and the worker exits.
+        """
         if self.runtime is not None or self.process is not None:
             return
         if self.inline:
@@ -155,7 +163,7 @@ class _ShardHandle:
         parent, child = mp.Pipe(duplex=True)
         process = mp.Process(
             target=shard_worker,
-            args=(child, self.config),
+            args=(child, self.config, (parent, *front_ends)),
             daemon=True,
             name=f"repro-shard-{self.config.shard_id}",
         )
@@ -365,7 +373,9 @@ class ShardedLookupService(TierControl):
         """Boot the shard workers (they build their engines on their own)."""
         if not self._started:
             for handle in self.shards:
-                handle.start_transport()
+                handle.start_transport(
+                    tuple(h.conn for h in self.shards if h.conn is not None)
+                )
             self._started = True
         return self
 

@@ -170,15 +170,23 @@ class ShardRuntime:
             return ("error", traceback.format_exc())
 
 
-def shard_worker(conn: Connection, config: ShardConfig) -> None:
+def shard_worker(
+    conn: Connection, config: ShardConfig, inherited: tuple[Connection, ...] = ()
+) -> None:
     """Worker-process entry point: serve the pipe until told to stop.
 
-    Builds the runtime (freezing the shard's engines once), then
-    answers the strict request/reply protocol documented in the
-    module docstring.  Any per-request failure is returned as an
-    ``("error", traceback)`` reply — the worker itself stays up, so
-    one poisoned batch cannot take a shard's tables with it.
+    First closes ``inherited``, the front end's pipe ends a forked
+    worker holds copies of: while any copy stays open, a front end
+    that dies without ``stop()`` never closes the pipe, and the worker
+    would wait on it forever.  Then builds the runtime (freezing the
+    shard's engines once) and answers the strict request/reply
+    protocol documented in the module docstring.  Any per-request
+    failure is returned as an ``("error", traceback)`` reply — the
+    worker itself stays up, so one poisoned batch cannot take a
+    shard's tables with it.
     """
+    for end in inherited:
+        end.close()
     runtime = ShardRuntime(config)
     try:
         while True:

@@ -55,6 +55,7 @@ from repro.iplookup.rib import RoutingTable
 from repro.iplookup.trie import (
     FrozenWalk,
     UnibitTrie,
+    WalkWorkspace,
     count_node_visits,
     freeze_forest,
 )
@@ -214,6 +215,11 @@ class EngineGroup:
     :class:`~repro.virt.merged.MergedTrie` union engine.  An
     ``EngineGroup`` is shared-nothing by construction — building one
     per shard worker process is exactly how the sharded tier fans out.
+
+    The group owns the one :class:`~repro.iplookup.trie.WalkWorkspace`
+    every walk stage writes its lane temporaries into, so it serves
+    one batch at a time: a second concurrent walk would overwrite the
+    first's buffers.
     """
 
     def __init__(
@@ -233,6 +239,7 @@ class EngineGroup:
         self.tries: list[UnibitTrie] = [UnibitTrie(t) for t in tables]
         self.merged: MergedTrie | None = None
         self.forest: FrozenWalk | None = None
+        self.workspace = WalkWorkspace()
         if scheme.shares_engine:
             self.merged = merge_tries(self.tries)
             depth = self.merged.structure.depth()
@@ -449,8 +456,9 @@ def walk_nominal(
     cycle tracks the load actually offered, not a back-to-back replay
     (see :func:`repro.iplookup.pipeline.trace_from_histogram`).
     """
+    workspace = group.workspace
     if group.merged is not None:
-        depths, results = group.merged.walk_validated(addresses, vnids)
+        depths, results = group.merged.walk_validated(addresses, vnids, workspace)
         return results, (
             trace_from_walk(
                 depths, results, group.n_stages, admission_rate=admission_rate
@@ -458,11 +466,11 @@ def walk_nominal(
         )
     forest = group.forest
     assert forest is not None
-    node = forest.walk(addresses, vnids)
+    node = forest.walk(addresses, vnids, workspace)
     bins = forest.depth + 1
-    hist = np.bincount(forest.tag[node], minlength=group.k * bins).reshape(
-        group.k, bins
-    )
+    hist = np.bincount(
+        forest.tags(node, workspace), minlength=group.k * bins
+    ).reshape(group.k, bins)
     if REGISTRY.enabled:  # one branch per batch; zero overhead off
         # every lane touches its depth's nodes plus the root
         count_node_visits("unibit", int(hist.sum(axis=0) @ np.arange(1, bins + 1)))
@@ -474,15 +482,18 @@ def walk_nominal(
 
 
 def walk_engine(
-    forest: FrozenWalk, addresses: np.ndarray, engine: int
+    forest: FrozenWalk, addresses: np.ndarray, engine: int, workspace: WalkWorkspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(depths, results)`` of one engine's walk on the forest.
 
     The degraded path's per-slice walk: the same kernel as the nominal
-    batch walk, with one engine index for every lane.
+    batch walk, with one engine index for every lane.  The results
+    are a fresh array; the depths are a view of ``workspace``, valid
+    until its next walk.
     """
-    node = forest.walk(addresses, engine)
-    depths = forest.tag[node] - engine * (forest.depth + 1)
+    node = forest.walk(addresses, engine, workspace)
+    depths = forest.tags(node, workspace)
+    depths -= engine * (forest.depth + 1)
     if REGISTRY.enabled:  # one branch per batch; zero overhead off
         count_node_visits("unibit", int(depths.sum()) + len(node))
     return depths, forest.best[node]
@@ -540,7 +551,9 @@ def walk_degraded(
             0,
             faults,
             policy,
-            lambda m=group.merged, a=kept_addresses, v=kept_vnids: m.walk_validated(a, v),
+            lambda m=group.merged, a=kept_addresses, v=kept_vnids, w=group.workspace: (
+                m.walk_validated(a, v, w)
+            ),
         )
         out.retries += walk_retries
         out.walk_failures += failures
@@ -590,7 +603,9 @@ def walk_degraded(
             vn,
             faults,
             policy,
-            lambda f=group.forest, a=kept_addresses, e=vn: walk_engine(f, a, e),
+            lambda f=group.forest, a=kept_addresses, e=vn, w=group.workspace: (
+                walk_engine(f, a, e, w)
+            ),
         )
         out.retries += walk_retries
         out.walk_failures += failures

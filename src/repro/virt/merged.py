@@ -29,7 +29,13 @@ import numpy as np
 
 from repro.errors import MergeError
 from repro.iplookup.rib import NO_ROUTE
-from repro.iplookup.trie import NONE, TrieStats, UnibitTrie, count_node_visits
+from repro.iplookup.trie import (
+    NONE,
+    TrieStats,
+    UnibitTrie,
+    WalkWorkspace,
+    count_node_visits,
+)
 from repro.obs.registry import REGISTRY
 
 __all__ = [
@@ -190,19 +196,25 @@ class MergedTrie:
         return self.walk_validated(addresses, vnids)
 
     def walk_validated(
-        self, addresses: np.ndarray, vnids: np.ndarray
+        self,
+        addresses: np.ndarray,
+        vnids: np.ndarray,
+        workspace: WalkWorkspace | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`walk_batch` for a batch whose int64 VNIDs are known in range.
 
         The serve path's entry: its validate stage has already checked
-        and cast the batch.  The walk is
+        and cast the batch, and its engine group passes its own
+        ``workspace`` (a fresh one otherwise).  The walk is
         :meth:`~repro.iplookup.trie.FrozenWalk.walk`; depths come from
         the frozen node-level array and results from one flat gather
         ``nhi_flat[leaf * k + vnid]`` — no per-packet Python on tries
-        up to 32 bits wide.
+        up to 32 bits wide.  The results are a fresh array; the depths
+        are a view of the workspace, valid until its next walk.
         """
-        node = self._frozen.walk(addresses)
-        depths = self._frozen.tag[node]
+        ws = WalkWorkspace() if workspace is None else workspace
+        node = self._frozen.walk(addresses, 0, ws)
+        depths = self._frozen.tags(node, ws)
         if REGISTRY.enabled:  # one branch per batch; zero overhead off
             count_node_visits("merged", int(depths.sum()) + len(node))
         node *= self.k

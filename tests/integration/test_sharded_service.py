@@ -15,7 +15,8 @@ Pins the tier's contract from the sharded-service milestone:
   markers and error-budget metrics;
 * a dead worker raises :class:`~repro.errors.ShardError` instead of
   hanging, and concurrent callers of one service each get their own
-  answers;
+  answers; a front end that dies without ``stop()`` leaves no worker
+  behind;
 * per-shard power attribution sums to the single-process sampler's
   total within 1%;
 * the merged multi-shard exposition is consistent: the sum of the
@@ -23,7 +24,12 @@ Pins the tier's contract from the sharded-service milestone:
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,3 +445,67 @@ class TestProcessExchange:
 
         results, _ = run_bounded(go())
         assert np.array_equal(results, LookupService(tables, Scheme.VS).serve(*second)[0])
+
+
+#: a front end that starts a 2-shard process service, serves one batch,
+#: writes its workers' pids to the file named by argv[1] and dies
+#: without ``stop()``
+_DYING_FRONT_END = """
+import asyncio, os, sys
+import numpy as np
+from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
+from repro.serve import ShardedLookupService
+from repro.virt.schemes import Scheme
+
+async def main():
+    tables = generate_virtual_tables(4, 0.5, SyntheticTableConfig(n_prefixes=100, seed=3))
+    svc = await ShardedLookupService(tables, Scheme.VS, n_shards=2, transport="process").start()
+    await svc.serve(np.arange(64, dtype=np.uint32), np.arange(64, dtype=np.int64) % 4)
+    with open(sys.argv[1], "w") as out:
+        out.write(" ".join(str(handle.process.pid) for handle in svc.shards))
+    os._exit(0)
+
+asyncio.run(main())
+"""
+
+#: seconds the orphaned workers get to notice the front end's death
+ORPHAN_EXIT_S = 10.0
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie is not:
+    an orphan is reparented to an init that may never reap it)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_workers_exit_when_the_front_end_dies_without_stop(tmp_path):
+    """Each worker closes the front end's pipe ends it inherits at fork,
+    so the front end's death is every pipe's EOF.  The front end's
+    output goes to files, not pipes, which orphaned workers would hold
+    open too."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    pid_file, log = tmp_path / "pids", tmp_path / "stderr"
+    with log.open("w") as stderr:
+        code = subprocess.run(
+            [sys.executable, "-c", _DYING_FRONT_END, str(pid_file)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            timeout=NO_HANG_S,
+        ).returncode
+    assert code == 0, log.read_text()
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + ORPHAN_EXIT_S
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphans = [pid for pid in pids if _running(pid)]
+    for pid in orphans:  # leave nothing behind on failure either
+        os.kill(pid, 9)
+    assert not orphans, f"workers {orphans} outlived their front end"
