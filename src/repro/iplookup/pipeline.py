@@ -23,7 +23,7 @@ what lets the NV/VS serve path account K engines from one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,24 @@ class PipelineTrace:
     accesses_per_stage: np.ndarray
     busy_cycles_per_stage: np.ndarray
     n_packets: int
+    _total_accesses: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def total_accesses(self) -> int:
+        """Memory reads summed over the stages.
+
+        With a pipeline as deep as the trie this is the packets'
+        summed walk depths, so ``total_accesses + n_packets`` is the
+        number of trie nodes the walk touched, root included.  Summed
+        once, on first read: a trace nobody meters never pays for it.
+        """
+        total = self._total_accesses
+        if total is None:
+            total = int(np.add.reduce(self.accesses_per_stage))
+            object.__setattr__(self, "_total_accesses", total)
+        return total
 
     @property
     def n_stages(self) -> int:
@@ -70,9 +88,13 @@ class PipelineTrace:
         return self.accesses_per_stage / self.total_cycles
 
     def mean_duty_cycle(self) -> float:
-        """Average memory duty cycle across stages."""
-        duty = self.stage_duty_cycle()
-        return float(duty.mean()) if len(duty) else 0.0
+        """Average memory duty cycle across stages.
+
+        :attr:`total_accesses` over ``total_cycles × n_stages``: one
+        division once the access total exists, no per-stage array.
+        """
+        cells = self.total_cycles * len(self.accesses_per_stage)
+        return self.total_accesses / cells if cells else 0.0
 
     def throughput_packets_per_cycle(self) -> float:
         """Sustained admission rate over the run."""

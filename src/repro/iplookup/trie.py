@@ -37,7 +37,7 @@ import numpy as np
 from repro.errors import TrieError
 from repro.iplookup.prefix import Prefix
 from repro.iplookup.rib import NO_ROUTE, RoutingTable
-from repro.obs.registry import REGISTRY
+from repro.obs.registry import REGISTRY, Counter, Gauge, Histogram
 
 __all__ = [
     "UnibitTrie",
@@ -93,7 +93,7 @@ class FrozenWalk:
     :meth:`walk` is the one batch walk kernel: the NV/VS serve path
     walks a whole batch on the forest and gathers ``best`` and ``tag``,
     a :class:`UnibitTrie` walks its own K=1 snapshot, and the
-    :class:`~repro.virt.merged.MergedTrie` gathers its NHI matrix.
+    :class:`~repro.virt.merged.MergedTrie` gathers its packed NHI table.
     """
 
     tag: np.ndarray
@@ -233,17 +233,27 @@ class WalkWorkspace:
         return self.word[:n], self.key[:n], self.node[:n], self.gather[:n]
 
 
+#: ``structure -> (registry generation, counter child)``: resolving the
+#: family and its child costs more than the increment; a reset or clear
+#: of the registry moves its generation and orphans the cached child
+_visit_counters: dict[str, tuple[int, Counter | Gauge | Histogram]] = {}
+
+
 def count_node_visits(structure: str, visits: int) -> None:
     """Add ``visits`` to ``repro_trie_node_visits_total{structure=...}``.
 
     Callers check ``REGISTRY.enabled`` first, so a walk with
     observability off pays one branch per batch.
     """
-    REGISTRY.counter(
-        "repro_trie_node_visits_total",
-        "Trie nodes touched by batch walks (root included)",
-        labels=("structure",),
-    ).labels(structure).inc(visits)
+    cached = _visit_counters.get(structure)
+    if cached is None or cached[0] != REGISTRY.generation:
+        child = REGISTRY.counter(
+            "repro_trie_node_visits_total",
+            "Trie nodes touched by batch walks (root included)",
+            labels=("structure",),
+        ).labels(structure)
+        cached = _visit_counters[structure] = (REGISTRY.generation, child)
+    cached[1].inc(visits)
 
 
 #: stride-table rows expanded per gather pass at freeze time; bounds the

@@ -646,9 +646,6 @@ class ShardedLookupService(TierControl):
                 for vn, count in enumerate(trace.vn_shed):
                     if count:
                         shed.labels(scheme, vn).inc(count)
-            # the gauge the single-process service publishes, so the
-            # DVS governor samples one surface on either tier
-            self._publish_queue_wait(trace)
             write_rate = None
             if self.fault_plan is not None:
                 write_rate = self.fault_plan.context_at(batch_index).write_rate

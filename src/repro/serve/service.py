@@ -12,7 +12,7 @@ enters once and is routed according to the deployment scheme —
   selecting each lane's engine, so the VNID demultiplexer costs no
   partition of the batch;
 * **VM** — through the single merged engine (one vectorized walk of
-  the union structure plus a 2-D NHI-vector gather).
+  the union structure plus one gather of its packed NHI table).
 
 The service itself is a thin composition of the stage functions in
 :mod:`repro.serve.stages` (validate → admit → walk → account; the
@@ -141,7 +141,9 @@ class _TierMetrics:
     ``generation`` moves (a reset or clear orphans cached children).
     """
 
-    def __init__(self, registry: MetricsRegistry, scheme: str):
+    def __init__(self, tier: "TierControl"):
+        registry = tier._registry
+        scheme = tier.scheme.name
         self.generation = registry.generation
         self.queue_wait = registry.gauge(
             "repro_serve_queue_wait_ns",
@@ -159,9 +161,10 @@ class _TierMetrics:
 class _ServeMetrics(_TierMetrics):
     """:class:`_TierMetrics` plus the single-process service's batch metrics."""
 
-    def __init__(self, registry: MetricsRegistry, scheme: str):
-        super().__init__(registry, scheme)
-        self.scheme = scheme
+    def __init__(self, tier: "TierControl"):
+        super().__init__(tier)
+        registry = tier._registry
+        scheme = self.scheme = tier.scheme.name
         self.batches = registry.counter(
             "repro_serve_batches_total", "Batches served", labels=("scheme",)
         ).labels(scheme)
@@ -185,6 +188,12 @@ class _ServeMetrics(_TierMetrics):
             "repro_serve_queue_wait_ns for the wait at the realized load",
             labels=("scheme",),
         ).labels(scheme)
+        # modeled M/D/1 mean queue occupancy per engine, summed over
+        # engines: Lq = rho^2 / (2 (1 - rho)) at the configured
+        # offered-load fraction, fixed until the next re-clock, which
+        # rebuilds this object
+        rho = tier.offered_load_fraction
+        self.queue_depth.set(tier.n_engines * rho * rho / (2.0 * (1.0 - rho)))
 
     def lookups(self, vn: int) -> Counter | Gauge | Histogram:
         """The lookups counter child of one VN."""
@@ -311,9 +320,7 @@ class TierControl:
         """The cached metric children, re-resolved when stale."""
         metrics = self._metrics
         if metrics is None or metrics.generation != self._registry.generation:
-            metrics = self._metrics = self._metrics_class(
-                self._registry, self.scheme.name
-            )
+            metrics = self._metrics = self._metrics_class(self)
         return metrics
 
     def _validated(
@@ -336,35 +343,32 @@ class TierControl:
                 ).labels(exc.kind).inc()
             raise
 
-    def _publish_queue_wait(self, trace: ServeTrace) -> None:
-        """Publish the modeled M/D/1 wait at the batch's realized load.
-
-        The realized load is the configured fraction times the share
-        of the batch actually admitted (degraded admission sheds
-        arrivals), so the figure follows shedding and re-clocks but is
-        still the model's closed form, not a measurement.  The DVS
-        governor's queue-pressure override reads this gauge on either
-        tier.
-        """
-        admitted = trace.n_admitted / trace.n_packets if trace.n_packets else 0.0
-        wait_ns = md1_wait_ns(
-            self.offered_load_fraction * admitted, self.frequency_mhz
-        )
-        self._bound_metrics().queue_wait.set(wait_ns)
-
     def _publish_tail(
         self, trace: ServeTrace, span: Span, write_rate: float | None
     ) -> "PowerSample | None":
-        """The end of every metered batch: duty gauge, power, governor.
+        """The end of every metered batch: queue wait, duty, power, governor.
+
+        The queue wait is the modeled M/D/1 wait at the batch's
+        realized load: the configured fraction times the share of the
+        batch actually admitted (degraded admission sheds arrivals), so
+        the figure follows shedding and re-clocks but is still the
+        model's closed form, not a measurement.
 
         The sampler is fed the *measured* duty cycle, not the
         configured offered-load fraction: live power must track the
         load the batch actually carried (shedding, load ramps), which
-        is the signal the DVS governor closes its loop against.
-        Returns the power sample, if a sampler is attached.
+        is the signal the DVS governor closes its loop against.  The
+        governor's queue-pressure override reads the queue-wait gauge
+        set here, on either tier.  Returns the power sample, if a
+        sampler is attached.
         """
+        metrics = self._bound_metrics()
+        admitted = trace.n_admitted / trace.n_packets if trace.n_packets else 0.0
+        metrics.queue_wait.set(
+            md1_wait_ns(self.offered_load_fraction * admitted, self.frequency_mhz)
+        )
         duty = trace.mean_duty_cycle()
-        self._bound_metrics().duty.set(duty)
+        metrics.duty.set(duty)
         sample = None
         if self.power_sampler is not None:
             sample = self.power_sampler.observe(
@@ -588,19 +592,14 @@ class LookupService(TierControl):
                 addresses, vnids, track_vns=track_vns, faults=faults
             )
         start = time.perf_counter()
-        results, traces = walk_nominal(
-            self.group, addresses, vnids, admission_rate=self._admission_rate()
+        results, traces, vn_counts = walk_nominal(
+            self.group,
+            addresses,
+            vnids,
+            admission_rate=self._admission_rate(),
+            track_vns=track_vns,
         )
         elapsed = time.perf_counter() - start
-        vn_counts: tuple[int, ...] = ()
-        if track_vns:
-            if self.group.merged is None:
-                # NV/VS: engine i walked exactly VN i's slice
-                vn_counts = tuple(t.n_packets for t in traces)
-            else:
-                vn_counts = tuple(
-                    int(c) for c in np.bincount(vnids, minlength=self.k)
-                )
         trace = ServeTrace(
             scheme=self.scheme,
             n_packets=len(addresses),
@@ -619,12 +618,6 @@ class LookupService(TierControl):
             if count:
                 metrics.lookups(vn).inc(count)
         metrics.latency.observe(trace.elapsed_s)
-        # modeled M/D/1 mean queue occupancy per engine, summed over
-        # engines: Lq = rho^2 / (2 (1 - rho)) at the configured
-        # offered-load fraction
-        rho = self.offered_load_fraction
-        metrics.queue_depth.set(self.n_engines * rho * rho / (2.0 * (1.0 - rho)))
-        self._publish_queue_wait(trace)
 
     def _record_fault_state(
         self, trace: ServeTrace, faults: ActiveFaults | None

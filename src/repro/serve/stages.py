@@ -17,7 +17,9 @@ no admission decision of its own.  Either way the pipeline is:
         │                   VNIDs as engine indices → best[node] answers
         │                   + one bincount of tag[node] → per-engine
         │                   depth histograms (no partition, gather or
-        │                   scatter); VM: one merged walk
+        │                   scatter); VM: one merged walk, one packed
+        │                   gather → answers + level·K + vnid bins, one
+        │                   bincount → depth-by-VN histogram
         │
     walk_degraded           faults only: partition by VN, head-of-slice
         │                   admission, each kept slice walked on the
@@ -46,11 +48,7 @@ from repro.errors import (
 )
 from repro.faults.injectors import ActiveFaults
 from repro.faults.policy import SHED_RESULT, DegradationPolicy
-from repro.iplookup.pipeline import (
-    PipelineTrace,
-    trace_from_histogram,
-    trace_from_walk,
-)
+from repro.iplookup.pipeline import PipelineTrace, trace_from_histogram
 from repro.iplookup.rib import RoutingTable
 from repro.iplookup.trie import (
     FrozenWalk,
@@ -109,10 +107,13 @@ class ServeTrace:
         Host wall-clock time spent answering the batch.
     vn_counts:
         *Admitted* lookups per virtual network (length K).  Populated
-        only while observability is enabled — the bincount is skipped
-        on the uninstrumented fast path — and consumed by the per-VN
-        power attribution of
-        :class:`repro.obs.power.PowerTelemetrySampler`.
+        only while observability is enabled, and consumed by the
+        per-VN power attribution of
+        :class:`repro.obs.power.PowerTelemetrySampler`.  On a nominal
+        batch they come for free from the walk's own histogram: the
+        engine rows on NV/VS, the column sums of the depth-by-VN
+        histogram on VM (:func:`walk_nominal`); under faults they are
+        the offered lookups per VN less the shed ones.
     vn_shed:
         Lookups shed per virtual network by degraded admission
         control (length K under active faults, empty otherwise).
@@ -171,11 +172,12 @@ class ServeTrace:
         This is the duty-cycle input of the clock-gated power models:
         a stage whose memory is idle dissipates no dynamic power.
         """
-        weights = np.array([t.n_packets for t in self.engine_traces], dtype=float)
-        if weights.sum() == 0:
-            return 0.0
-        duties = np.array([t.mean_duty_cycle() for t in self.engine_traces])
-        return float((duties * weights).sum() / weights.sum())
+        packets = 0
+        weighted = 0.0
+        for t in self.engine_traces:
+            packets += t.n_packets
+            weighted += t.mean_duty_cycle() * t.n_packets
+        return weighted / packets if packets else 0.0
 
     def engine_loads(self) -> np.ndarray:
         """Fraction of the *offered* batch each engine served.
@@ -440,7 +442,9 @@ def walk_nominal(
     addresses: np.ndarray,
     vnids: np.ndarray,
     admission_rate: float = 1.0,
-) -> tuple[np.ndarray, tuple[PipelineTrace, ...]]:
+    *,
+    track_vns: bool = False,
+) -> tuple[np.ndarray, tuple[PipelineTrace, ...], tuple[int, ...]]:
     """The nominal *walk* and *account* stages (no faults).
 
     NV/VS walk the whole batch in arrival order on the group's forest,
@@ -449,7 +453,18 @@ def walk_nominal(
     K × (depth + 1) depth histogram whose rows are the engine traces.
     The VNID demultiplexer costs nothing here, as the paper's
     Assumption 3 has it.  VM walks the whole batch on the single
-    merged engine.  ``vnids`` must have passed :func:`validate_batch`.
+    merged engine, whose one packed gather yields each lane's answer
+    and its ``level · K + vnid`` bin; one ``bincount`` of the bins is
+    the (depth + 1) × K histogram
+    (:meth:`~repro.virt.merged.MergedTrie.walk_histogram`): the row
+    sums are the engine trace, the column sums the per-VN counts.
+    ``vnids`` must have passed :func:`validate_batch`.
+
+    Returns ``(results, traces, vn_counts)``.  ``vn_counts`` is the
+    lookups per VN when ``track_vns`` is set and ``()`` otherwise;
+    either way the walk and the histogram are the same, so tracking
+    costs no lane operation.  While the process-wide registry is
+    enabled the walks' node visits are counted, from the traces.
 
     ``admission_rate`` is the offered load fraction the batch arrives
     at: it stretches the modeled arrival window so the measured duty
@@ -458,27 +473,44 @@ def walk_nominal(
     """
     workspace = group.workspace
     if group.merged is not None:
-        depths, results = group.merged.walk_validated(addresses, vnids, workspace)
-        return results, (
-            trace_from_walk(
-                depths, results, group.n_stages, admission_rate=admission_rate
+        hist, results = group.merged.walk_histogram(addresses, vnids, workspace)
+        traces: tuple[PipelineTrace, ...] = (
+            trace_from_histogram(
+                hist.sum(axis=1), group.n_stages, admission_rate=admission_rate
             ),
         )
-    forest = group.forest
-    assert forest is not None
-    node = forest.walk(addresses, vnids, workspace)
-    bins = forest.depth + 1
-    hist = np.bincount(
-        forest.tags(node, workspace), minlength=group.k * bins
-    ).reshape(group.k, bins)
+        vn_counts = tuple(hist.sum(axis=0).tolist()) if track_vns else ()
+    else:
+        forest = group.forest
+        assert forest is not None
+        node = forest.walk(addresses, vnids, workspace)
+        bins = forest.depth + 1
+        rows = np.bincount(
+            forest.tags(node, workspace), minlength=group.k * bins
+        ).reshape(group.k, bins)
+        traces = tuple(
+            trace_from_histogram(row, group.n_stages, admission_rate=admission_rate)
+            for row in rows
+        )
+        results = forest.best[node]
+        # NV/VS: engine i walked exactly VN i's lookups
+        vn_counts = tuple(t.n_packets for t in traces) if track_vns else ()
     if REGISTRY.enabled:  # one branch per batch; zero overhead off
-        # every lane touches its depth's nodes plus the root
-        count_node_visits("unibit", int(hist.sum(axis=0) @ np.arange(1, bins + 1)))
-    traces = tuple(
-        trace_from_histogram(row, group.n_stages, admission_rate=admission_rate)
-        for row in hist
-    )
-    return forest.best[node], traces
+        _count_visits(group, traces)
+    return results, traces, vn_counts
+
+
+def _count_visits(group: EngineGroup, traces: tuple[PipelineTrace, ...]) -> None:
+    """Count the trie nodes a batch's walks touched, from its traces.
+
+    The pipeline is at least as deep as the engines, so each trace's
+    accesses are its lanes' summed walk depths, and each lane also
+    touched the root.
+    """
+    visits = 0
+    for t in traces:
+        visits += t.total_accesses + t.n_packets
+    count_node_visits("unibit" if group.merged is None else "merged", visits)
 
 
 def walk_engine(
@@ -494,8 +526,6 @@ def walk_engine(
     node = forest.walk(addresses, engine, workspace)
     depths = forest.tags(node, workspace)
     depths -= engine * (forest.depth + 1)
-    if REGISTRY.enabled:  # one branch per batch; zero overhead off
-        count_node_visits("unibit", int(depths.sum()) + len(node))
     return depths, forest.best[node]
 
 
@@ -538,49 +568,43 @@ def walk_degraded(
     results = np.full(n, SHED_RESULT, dtype=np.int64)
     vn_shed = np.zeros(group.k, dtype=np.int64)
     out = DegradedWalk(results=results, traces=(), vn_shed=vn_shed)
-    empty = np.array([], dtype=np.int64)
+    # an engine with nothing admitted is not walked: no walk, so no
+    # walk failure or retry can be counted against it
+    no_walk = np.zeros(1, dtype=np.int64)
 
     if group.merged is not None:
         kept = admit_indices(vnids, group.k, admit[0], vn_shed)
-        kept_addresses = addresses[kept]
-        kept_vnids = vnids[kept]
-        # bind the walk inputs as defaults: a plain closure would
-        # re-read the enclosing names at call time (late binding),
-        # which the retry loop must never depend on
-        walked, walk_retries, failures = walk_with_retry(
-            0,
-            faults,
-            policy,
-            lambda m=group.merged, a=kept_addresses, v=kept_vnids, w=group.workspace: (
-                m.walk_validated(a, v, w)
+        hist = no_walk
+        if len(kept):
+            kept_addresses = addresses[kept]
+            kept_vnids = vnids[kept]
+            # bind the walk inputs as defaults: a plain closure would
+            # re-read the enclosing names at call time (late binding),
+            # which the retry loop must never depend on
+            walked, walk_retries, failures = walk_with_retry(
+                0,
+                faults,
+                policy,
+                lambda m=group.merged, a=kept_addresses, v=kept_vnids, w=group.workspace: (
+                    m.walk_histogram(a, v, w)
+                ),
+            )
+            out.retries += walk_retries
+            out.walk_failures += failures
+            if walked is None:
+                out.failed_engines.append(0)
+                np.add.at(vn_shed, kept_vnids, 1)
+            else:
+                depth_by_vn, walk_results = walked
+                results[kept] = walk_results
+                hist = depth_by_vn.sum(axis=1)
+        out.traces = (
+            trace_from_histogram(
+                hist, group.n_stages, admission_rate=admission_rate, window_packets=n
             ),
         )
-        out.retries += walk_retries
-        out.walk_failures += failures
-        if walked is None:
-            out.failed_engines.append(0)
-            np.add.at(vn_shed, kept_vnids, 1)
-            out.traces = (
-                trace_from_walk(
-                    empty,
-                    empty,
-                    group.n_stages,
-                    admission_rate=admission_rate,
-                    window_packets=n,
-                ),
-            )
-        else:
-            depths, walk_results = walked
-            results[kept] = walk_results
-            out.traces = (
-                trace_from_walk(
-                    depths,
-                    walk_results,
-                    group.n_stages,
-                    admission_rate=admission_rate,
-                    window_packets=n,
-                ),
-            )
+        if REGISTRY.enabled:  # one branch per batch; zero overhead off
+            _count_visits(group, out.traces)
         return out
 
     # head-of-slice admission needs each VN's arrivals contiguous:
@@ -596,42 +620,37 @@ def walk_degraded(
         start_vn, stop_vn = part.engine_slice(vn).start, part.engine_slice(vn).stop
         offered = stop_vn - start_vn
         keep = admit_count(offered, admit[vn], vn, vn_shed)
-        kept_addresses = sorted_addresses[start_vn : start_vn + keep]
-        # default-arg binding: the thunk must capture *this*
-        # iteration's engine and slice, not the loop variables
-        walked, walk_retries, failures = walk_with_retry(
-            vn,
-            faults,
-            policy,
-            lambda f=group.forest, a=kept_addresses, e=vn, w=group.workspace: (
-                walk_engine(f, a, e, w)
-            ),
-        )
-        out.retries += walk_retries
-        out.walk_failures += failures
-        if walked is None:
-            out.failed_engines.append(vn)
-            vn_shed[vn] += keep
-            engine_traces.append(
-                trace_from_walk(
-                    empty,
-                    empty,
-                    group.n_stages,
-                    admission_rate=admission_rate,
-                    window_packets=offered,
-                )
+        hist = no_walk
+        if keep:
+            kept_addresses = sorted_addresses[start_vn : start_vn + keep]
+            # default-arg binding: the thunk must capture *this*
+            # iteration's engine and slice, not the loop variables
+            walked, walk_retries, failures = walk_with_retry(
+                vn,
+                faults,
+                policy,
+                lambda f=group.forest, a=kept_addresses, e=vn, w=group.workspace: (
+                    walk_engine(f, a, e, w)
+                ),
             )
-            continue
-        depths, engine_results = walked
-        results[part.order[start_vn : start_vn + keep]] = engine_results
+            out.retries += walk_retries
+            out.walk_failures += failures
+            if walked is None:
+                out.failed_engines.append(vn)
+                vn_shed[vn] += keep
+            else:
+                depths, engine_results = walked
+                results[part.order[start_vn : start_vn + keep]] = engine_results
+                hist = np.bincount(depths)
         engine_traces.append(
-            trace_from_walk(
-                depths,
-                engine_results,
+            trace_from_histogram(
+                hist,
                 group.n_stages,
                 admission_rate=admission_rate,
                 window_packets=offered,
             )
         )
     out.traces = tuple(engine_traces)
+    if REGISTRY.enabled:  # one branch per batch; zero overhead off
+        _count_visits(group, out.traces)
     return out

@@ -74,7 +74,7 @@ class MergedTrie:
     and the merged view is *rebuilt* (see
     :class:`repro.virt.manager.VirtualRouterManager`), mirroring the
     shadow-table update pattern of the authors' FPL'11 companion
-    work.  Freezing the child/leaf/NHI-matrix arrays once here is
+    work.  Freezing and packing the child/leaf/NHI arrays once here is
     therefore sound — there is no invalidation path to miss, unlike
     :class:`~repro.iplookup.trie.UnibitTrie` whose ``_frozen`` cache
     must be dropped on every mutating insert/remove.
@@ -86,8 +86,9 @@ class MergedTrie:
         "union_input_nodes",
         "sum_input_nodes",
         "_frozen",
-        "_nhi_matrix",
-        "_nhi_flat",
+        "_packed",
+        "_shift",
+        "_mask",
     )
 
     def __init__(
@@ -102,20 +103,14 @@ class MergedTrie:
             raise MergeError("one K-wide NHI matrix row per structure node required")
         self.structure = structure
         self.k = k
-        # read-only: leaf_vector hands out rows of it
-        nhi_matrix.flags.writeable = False
-        self._nhi_matrix = nhi_matrix
-        # row-major view: leaf row ``node``, column ``vnid`` sits at
-        # ``node * k + vnid``, one flat gather instead of a 2-D one
-        self._nhi_flat = nhi_matrix.reshape(-1)
         self.union_input_nodes = union_input_nodes
         self.sum_input_nodes = sum_input_nodes
         # freeze the lookup arrays once — the structure is immutable
         # (see class docstring), so no per-call revalidation is needed.
         # The walk is the per-VN engines' FrozenWalk kernel; for a full
         # trie the frozen arrays carry no parked nodes, so every walk
-        # lands on a real leaf index, which is what lets the flat NHI
-        # gather in walk_validated index the leaf's row directly.
+        # lands on a real leaf index, which is what lets the flat gather
+        # of the packed table index the leaf's row directly.
         frozen = structure._freeze()
         if len(frozen.tag) != structure.num_nodes:
             raise MergeError(
@@ -123,6 +118,23 @@ class MergedTrie:
                 "exactly one child cannot carry a per-leaf NHI vector"
             )
         self._frozen = frozen
+        # The packed table: row ``node``, column ``vnid`` (flat index
+        # ``node * k + vnid``) holds the VN's next hop above the low
+        # bits ``level(node) * k + vnid``.  One gather then yields the
+        # answer (the high bits) and the lane's walk-histogram bin (the
+        # low bits) together, so counting lookups per VN costs no lane
+        # operation of its own.  Packed in place: the matrix is this
+        # trie's from here on.
+        shift = ((frozen.depth + 1) * k - 1).bit_length()
+        if nhi_matrix.size and int(nhi_matrix.max()) >= 1 << (63 - shift):
+            raise MergeError(f"next hops must be below 2**{63 - shift} to pack")
+        np.left_shift(nhi_matrix, shift, out=nhi_matrix)
+        nhi_matrix += frozen.tag[:, None] * k
+        nhi_matrix += np.arange(k)
+        nhi_matrix.flags.writeable = False
+        self._packed = nhi_matrix.reshape(-1)
+        self._shift = shift
+        self._mask = (1 << shift) - 1
 
     # -- merging efficiency ------------------------------------------------
 
@@ -159,7 +171,7 @@ class MergedTrie:
         """The K-wide NHI vector stored at leaf ``node``."""
         if not self.structure.is_leaf(node):
             raise MergeError(f"node {node} is not a leaf")
-        return self._nhi_matrix[node]
+        return self._packed[node * self.k : (node + 1) * self.k] >> self._shift
 
     # -- lookup ---------------------------------------------------------------
 
@@ -174,7 +186,7 @@ class MergedTrie:
             bit = (address >> (trie.width - 1 - level)) & 1
             node = trie.right(node) if bit else trie.left(node)
             level += 1
-        return int(self._nhi_matrix[node, vnid])
+        return int(self._packed[node * self.k + vnid] >> self._shift)
 
     def walk_batch(
         self, addresses: np.ndarray, vnids: np.ndarray
@@ -185,41 +197,57 @@ class MergedTrie:
         each address lands on (stages the shared engine touches) and
         the VN's next hop gathered from that leaf's K-wide vector.
         Checks the shapes and the VNID range (raising
-        :class:`~repro.errors.MergeError`), then runs
-        :meth:`walk_validated`.
+        :class:`~repro.errors.MergeError`), then walks as
+        :meth:`walk_histogram` does.
         """
         vnids = np.asarray(vnids, dtype=np.int64)
         if np.shape(addresses) != vnids.shape:
             raise MergeError("addresses and vnids must have the same shape")
         if len(vnids) and (vnids.min() < 0 or vnids.max() >= self.k):
             raise MergeError("vnid out of range")
-        return self.walk_validated(addresses, vnids)
+        # the caller owns the returned depths: a fresh workspace
+        bins, results = self._walk_packed(addresses, vnids, WalkWorkspace())
+        depths = np.floor_divide(bins, self.k, out=bins)
+        if REGISTRY.enabled:  # one branch per batch; zero overhead off
+            count_node_visits("merged", int(depths.sum()) + len(depths))
+        return depths, results
 
-    def walk_validated(
-        self,
-        addresses: np.ndarray,
-        vnids: np.ndarray,
-        workspace: WalkWorkspace | None = None,
+    def walk_histogram(
+        self, addresses: np.ndarray, vnids: np.ndarray, workspace: WalkWorkspace
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`walk_batch` for a batch whose int64 VNIDs are known in range.
+        """``(hist, results)`` of a batch whose int64 VNIDs are known in range.
 
         The serve path's entry: its validate stage has already checked
         and cast the batch, and its engine group passes its own
-        ``workspace`` (a fresh one otherwise).  The walk is
-        :meth:`~repro.iplookup.trie.FrozenWalk.walk`; depths come from
-        the frozen node-level array and results from one flat gather
-        ``nhi_flat[leaf * k + vnid]`` — no per-packet Python on tries
-        up to 32 bits wide.  The results are a fresh array; the depths
-        are a view of the workspace, valid until its next walk.
+        ``workspace``.  ``hist`` is the ``(depth + 1) × K`` walk
+        histogram, ``hist[d, v]`` the lookups of VN ``v`` whose walk
+        ended at depth ``d``: one ``bincount`` of the bins the packed
+        gather yields.  Its row sums are the depth histogram the
+        pipeline accounting reads, its column sums the per-VN lookup
+        counts.  The results are a fresh array.  The caller counts
+        the node visits, from the histogram.
         """
-        ws = WalkWorkspace() if workspace is None else workspace
-        node = self._frozen.walk(addresses, 0, ws)
-        depths = self._frozen.tags(node, ws)
-        if REGISTRY.enabled:  # one branch per batch; zero overhead off
-            count_node_visits("merged", int(depths.sum()) + len(node))
+        bins, results = self._walk_packed(addresses, vnids, workspace)
+        hist = np.bincount(bins, minlength=(self._frozen.depth + 1) * self.k)
+        return hist.reshape(-1, self.k), results
+
+    def _walk_packed(
+        self, addresses: np.ndarray, vnids: np.ndarray, workspace: WalkWorkspace
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(bins, results)``: each lane's ``level * k + vnid`` and answer.
+
+        :meth:`~repro.iplookup.trie.FrozenWalk.walk`, then one flat
+        gather of the packed table at ``leaf * k + vnid`` into the
+        workspace — no per-packet Python on tries up to 32 bits wide.
+        The bins are a view of the workspace, valid until its next
+        walk; the results are a fresh array.
+        """
+        node = self._frozen.walk(addresses, 0, workspace)
         node *= self.k
         node += vnids
-        return depths, self._nhi_flat[node]
+        packed = np.take(self._packed, node, out=workspace.key[: len(node)], mode="wrap")
+        results = np.right_shift(packed, self._shift)
+        return np.bitwise_and(packed, self._mask, out=packed), results
 
     def lookup_batch(self, addresses: np.ndarray, vnids: np.ndarray) -> np.ndarray:
         """Vectorized merged lookup over (address, vnid) pairs."""

@@ -81,7 +81,7 @@ def test_forest_walk_equals_per_vn_walks(tables, scheme, name, metrics_on):
     per_vn_visits = visits() - before
 
     before = visits()
-    results, traces = walk_nominal(service.group, addresses, vnids, admission_rate=RATE)
+    results, traces, _ = walk_nominal(service.group, addresses, vnids, admission_rate=RATE)
     assert visits() - before == per_vn_visits
     assert np.array_equal(results, expected)
     assert len(traces) == K

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import MergeError
 from repro.iplookup.rib import NO_ROUTE, RoutingTable
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
-from repro.iplookup.trie import UnibitTrie
+from repro.iplookup.trie import UnibitTrie, WalkWorkspace
 from repro.virt.merged import (
     _leaf_matrix,
     global_alpha_from_pairwise,
@@ -120,22 +120,30 @@ class TestMergedLookup:
 
     @pytest.mark.parametrize("bad", ["negative", "k", "huge"])
     def test_public_walk_batch_keeps_its_range_check(self, merged, bad):
-        # the serve path skips the check (walk_validated); direct callers may not
+        # the serve path skips the check (walk_histogram); direct callers may not
         vnid = {"negative": -1, "k": merged.k, "huge": 1 << 40}[bad]
         addresses = np.array([0, 1], dtype=np.uint32)
         vnids = np.array([0, vnid], dtype=np.int64)
         with pytest.raises(MergeError, match="vnid out of range"):
             merged.walk_batch(addresses, vnids)
 
-    def test_walk_validated_equals_walk_batch(self, merged, random_addresses):
+    def test_walk_histogram_equals_walk_batch(self, merged, random_addresses):
         rng = np.random.default_rng(4)
         vnids = rng.integers(0, merged.k, size=len(random_addresses), dtype=np.int64)
-        depths, results = merged.walk_validated(random_addresses, vnids)
-        checked_depths, checked = merged.walk_batch(random_addresses, vnids)
-        assert np.array_equal(depths, checked_depths)
+        hist, results = merged.walk_histogram(random_addresses, vnids, WalkWorkspace())
+        depths, checked = merged.walk_batch(random_addresses, vnids)
         assert np.array_equal(results, checked)
-        rows = merged._nhi_matrix[merged._frozen.walk(random_addresses), vnids]
+        leaves = merged._frozen.walk(random_addresses)
+        rows = [merged.leaf_vector(int(leaf))[vn] for leaf, vn in zip(leaves, vnids)]
         assert np.array_equal(results, rows)
+        assert np.array_equal(hist.sum(axis=1), np.bincount(depths, minlength=len(hist)))
+        assert np.array_equal(hist.sum(axis=0), np.bincount(vnids, minlength=merged.k))
+
+    def test_next_hops_too_wide_to_pack_are_refused(self):
+        # the packed table keeps each next hop above the histogram bin
+        table = RoutingTable.from_strings([("10.0.0.0/8", 1 << 60)])
+        with pytest.raises(MergeError, match="to pack"):
+            merge_tries([UnibitTrie(table)])
 
     def test_rejects_shape_mismatch(self, merged):
         with pytest.raises(MergeError):

@@ -129,7 +129,7 @@ class TestWalkNominal:
     def test_matches_linear_oracle(self, tables, batch, scheme):
         addresses, vnids = batch
         group = EngineGroup(tables, scheme, 28)
-        results, traces = walk_nominal(group, addresses, vnids)
+        results, traces, _ = walk_nominal(group, addresses, vnids)
         assert len(traces) == group.n_engines
         for vn in range(K):
             mask = vnids == vn
@@ -139,7 +139,7 @@ class TestWalkNominal:
     def test_trace_packets_partition_the_batch(self, tables, batch):
         addresses, vnids = batch
         group = EngineGroup(tables, Scheme.VS, 28)
-        _, traces = walk_nominal(group, addresses, vnids)
+        _, traces, _ = walk_nominal(group, addresses, vnids)
         assert sum(t.n_packets for t in traces) == len(addresses)
 
 
@@ -177,7 +177,7 @@ class TestAutoDepthEngineGroup:
         addresses = rng.integers(0, 1 << 32, size=400, dtype=np.uint64).astype(np.uint32)
         addresses[:4] = [0, 0xFFFFFFFF, 0xCB007107, 0x0A000001]
         vnids = rng.integers(0, 2, size=400, dtype=np.int64)
-        results, _ = walk_nominal(group, addresses, vnids)
+        results, _, _ = walk_nominal(group, addresses, vnids)
         expected = np.stack([t.lookup_linear_batch(addresses) for t in tables])[
             vnids, np.arange(len(addresses))
         ]

@@ -98,11 +98,21 @@ class TestReuse:
             assert shed.sum() == trace.n_shed
             if n:
                 assert trace.retries == 1  # the walk failed once and was retried
+            else:
+                # nothing to walk: no walk, so no failure and no retry
+                assert (trace.retries, trace.walk_failures) == (0, 0)
             admitted = ~shed
             expected = _oracle(tables, addresses[admitted], vnids[admitted])
             assert np.array_equal(answers[admitted], expected)
             if n >= 500:
                 assert 0 < trace.n_shed < n
+        if not scheme.shares_engine:
+            # a non-empty batch that gives the failing engine nothing
+            addresses, vnids = _batch(2000, seed=40)
+            vnids[vnids == engine] = 0
+            _, trace = service.serve(addresses, vnids)
+            assert trace.fault_labels  # the window is still open
+            assert (trace.retries, trace.walk_failures) == (0, 0)
 
 
 class TestJumpBounds:
