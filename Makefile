@@ -71,9 +71,11 @@ faults-smoke:
 	$(PYTHON) -m repro.tools.metrics_cli faults --k 4 --batches 8 --n-faults 5 --power
 
 # sharded-tier smoke: 2 shard worker processes, ~50k lookups through
-# the async front end, clean shutdown, merged-metrics consistency
+# the async front end checked against LookupService, clean shutdown
+# with no lane arena or descriptor left behind, merged-metrics
+# consistency; in dev mode, with an unclosed resource an error
 serve-smoke:
-	$(PYTHON) -m repro.tools.serve_cli --shards 2 smoke --lookups 50000
+	$(PYTHON) -X dev -W error::ResourceWarning -m repro.tools.serve_cli --shards 2 smoke --lookups 50000
 
 # closed-loop DVS governor demo: governed load ramp with a fault
 # window, energy per lookup against both static grades

@@ -11,26 +11,28 @@ One batch flows as:
 
 1. **validate** — :func:`repro.serve.stages.validate_batch`, same
    strict typed rejection as the library call;
-2. **partition** — one global
-   :meth:`~repro.virt.distributor.Distributor.partition`; because
-   every shard owns a *contiguous VN range* and the partition sorts
-   by VNID, each shard's sub-batch is one contiguous slice of the
-   sorted batch — no per-VN loop, no concatenation.  Its shard-local
-   VNIDs follow from the partition offsets and cross the pipe as one
-   byte each; the answers come back once, beside activity-only
-   engine traces;
-3. **exchange** — every shard's sub-batch is sent before any reply is
-   awaited, and each reply is read by an event-loop reader on its
-   pipe, so the shards walk concurrently, each in its own process,
-   and the loop never blocks on a worker.  One lock per service
-   keeps each pipe strictly request/reply;
+2. **split** — every shard owns a *contiguous VN range*, so its lanes
+   are one range test over the VNIDs and one ``np.flatnonzero``, in
+   arrival order: no sort.  The front end gathers those lanes'
+   addresses and shard-local VNIDs straight into the shard's
+   :class:`~repro.serve.shard.LaneArena`, a ``memfd`` mapping the
+   worker shares;
+3. **exchange** — every shard is sent ``(batch_index, n)`` before any
+   reply is awaited, and each reply, the shard's trace, is read by an
+   event-loop reader on its pipe, so the shards walk concurrently,
+   each in its own process, and the loop never blocks on a worker.
+   One lock per service keeps each pipe strictly request/reply and
+   each arena to one batch: staging, the exchange and reading the
+   answers back all happen under it;
 4. **admit and walk** — each shard's ``LookupService`` admits per
    engine under its scoped fault plan
    (:func:`repro.serve.stages.plan_admission`, exactly the
-   single-process policy) and walks.  The front end makes no
-   admission decision of its own;
-5. **scatter / account** — results scatter back to arrival order and
-   the shard traces reassemble into one *global-shaped*
+   single-process policy), walks the arena's lanes and writes the
+   answers into the arena.  The front end makes no admission decision
+   of its own;
+5. **scatter / account** — the answers scatter from each arena back to
+   arrival order through the same lane indices, and the shard traces
+   reassemble into one *global-shaped*
    :class:`~repro.serve.service.ServeTrace`, so the frontend's single
    :class:`~repro.obs.power.PowerTelemetrySampler` attributes power
    exactly as a single-process service would — per-shard watts are
@@ -54,14 +56,17 @@ from __future__ import annotations
 import asyncio
 import multiprocessing as mp
 import time
+from collections.abc import AsyncIterator
+from contextlib import asynccontextmanager
 from multiprocessing.connection import Connection
+from multiprocessing.reduction import send_handle
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShardError
 from repro.faults.plan import FaultPlan
-from repro.faults.policy import SHED_RESULT, DegradationPolicy
+from repro.faults.policy import DegradationPolicy
 from repro.fpga.dvs import OperatingPoint
 from repro.iplookup.pipeline import PipelineTrace, trace_from_walk
 from repro.iplookup.rib import RoutingTable
@@ -69,15 +74,8 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import RegistrySnapshot, merge_snapshots, snapshot_registry
 from repro.obs.tracing import Tracer
 from repro.serve.service import ServeTrace, TierControl
-from repro.serve.shard import (
-    ShardBatchRequest,
-    ShardBatchResult,
-    ShardConfig,
-    ShardRuntime,
-    shard_worker,
-)
+from repro.serve.shard import LaneArena, ShardConfig, ShardRuntime, shard_worker
 from repro.serve.stages import validate_batch
-from repro.virt.distributor import Distributor
 from repro.virt.queueing import LatencyReport
 from repro.virt.schemes import Scheme
 
@@ -108,22 +106,8 @@ def shard_vn_bounds(k: int, n_shards: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-def _local_vnids(offsets: np.ndarray) -> np.ndarray:
-    """Shard-local VNIDs of a VNID-sorted sub-batch, from its offsets.
-
-    The sub-batch is sorted by VN, so its local VNIDs are runs of
-    ``0..len(offsets)-2`` of the offsets' lengths: no gather of the
-    batch's VNIDs.  A shard owning at most 256 VNs gets them as
-    ``uint8``, one byte per lookup on the pipe; its validate stage
-    casts them back to int64.
-    """
-    k_local = len(offsets) - 1
-    dtype = np.uint8 if k_local <= 1 << 8 else np.int64
-    return np.repeat(np.arange(k_local, dtype=dtype), np.diff(offsets))
-
-
 class _ShardHandle:
-    """One shard's frontend-side state: config and transport."""
+    """One shard's frontend-side state: config, transport and lane arena."""
 
     def __init__(
         self, config: ShardConfig, vn_lo: int, vn_hi: int, inline: bool = False
@@ -132,6 +116,8 @@ class _ShardHandle:
         self.vn_lo = vn_lo
         self.vn_hi = vn_hi
         self.inline = inline
+        # the lanes the worker serves; grown under the exchange lock
+        self.arena: LaneArena | None = None
         # process transport state
         self.process: mp.Process | None = None
         self.conn: Connection | None = None
@@ -172,6 +158,67 @@ class _ShardHandle:
         self.conn = parent
         self.process = process
 
+    def lanes(self, vnids: np.ndarray) -> np.ndarray:
+        """Indices of the batch's lanes in this shard's VN range, in arrival order."""
+        return np.flatnonzero((vnids >= self.vn_lo) & (vnids < self.vn_hi))
+
+    def reserve(self, n: int) -> bool:
+        """Make the arena hold ``n`` lanes; whether a new one was made.
+
+        A new arena replaces the old one, which the front end unmaps at
+        once; the worker must attach the new one (an ``"arena"``
+        request) before it is sent lanes.
+        """
+        if self.arena is not None and n <= self.arena.capacity:
+            return False
+        if self.arena is not None:
+            self.arena.close()
+        self.arena = LaneArena.create(n, f"repro-lanes-{self.config.shard_id}")
+        return True
+
+    def stage(
+        self, addresses: np.ndarray, vnids: np.ndarray, lanes: np.ndarray
+    ) -> int:
+        """Write ``lanes``' addresses and shard-local VNIDs into the arena."""
+        assert self.arena is not None, "reserve() made the arena"
+        arena_addresses, arena_vnids, _ = self.arena.lanes(len(lanes))
+        # the lane indices are in range: "clip" writes ``out`` directly,
+        # where the default mode would stage it in a temporary
+        np.take(addresses, lanes, out=arena_addresses, mode="clip")
+        np.take(vnids, lanes, out=arena_vnids, mode="clip")
+        if self.vn_lo:
+            arena_vnids -= self.vn_lo
+        return len(lanes)
+
+    def post(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        message: tuple[str, object],
+        reply: asyncio.Future,
+    ) -> None:
+        """Send one request; its reply settles ``reply``.
+
+        Inline, the runtime answers on the spot; an ``("arena",
+        LaneArena)`` request hands it the arena object itself.  Over
+        the pipe, the arena crosses as ``("arena", None)`` followed by
+        its descriptor, and a reader on the pipe (:meth:`on_readable`)
+        takes the reply off it once it has arrived.
+        """
+        if self.runtime is not None:
+            self.resolve(reply, self.runtime.handle(message))
+            return
+        assert self.conn is not None and self.process is not None, "started"
+        op, payload = message
+        try:
+            if isinstance(payload, LaneArena):
+                self.conn.send((op, None))
+                send_handle(self.conn, payload.fd, self.process.pid)
+            else:
+                self.conn.send(message)
+        except ConnectionError:
+            pass  # the worker is gone: the reader reports its EOF
+        loop.add_reader(self.conn.fileno(), self.on_readable, loop, reply)
+
     def on_readable(self, loop: asyncio.AbstractEventLoop, reply: asyncio.Future) -> None:
         """Reader callback: take one reply off the pipe into ``reply``.
 
@@ -206,8 +253,11 @@ class _ShardHandle:
             reply.set_result(payload)
 
     def close_transport(self) -> None:
-        """Close the pipe and reclaim the process (idempotent)."""
+        """Close the pipe, reclaim the process, unmap the arena (idempotent)."""
         self.runtime = None
+        if self.arena is not None:
+            self.arena.close()
+            self.arena = None
         if self.conn is not None:
             self.conn.close()
             self.conn = None
@@ -296,7 +346,6 @@ class ShardedLookupService(TierControl):
         # one exchange at a time: every pipe is strict request/reply
         self._lock = asyncio.Lock()
         self._in_flight: list[asyncio.Future] = []
-        self.distributor = Distributor(k=self.k)
         self.bounds = shard_vn_bounds(self.k, n_shards)
         self._started = False
         self.shards: list[_ShardHandle] = []
@@ -397,43 +446,48 @@ class ShardedLookupService(TierControl):
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
 
-    async def _exchange(
+    @asynccontextmanager
+    async def _turn(self) -> AsyncIterator[None]:
+        """Hold the pipes and arenas: the lock, once in-flight replies landed.
+
+        A caller cancelled mid-exchange leaves its replies in flight;
+        the next turn lets them land (and so lets their workers finish
+        writing their arenas) before it stages or sends anything.
+        """
+        async with self._lock:
+            if self._in_flight:
+                await asyncio.wait(self._in_flight)
+            yield
+
+    async def _round(
         self, messages: list[tuple[_ShardHandle, tuple[str, object]]]
     ) -> list[Any]:
         """Send every shard its message, then await every reply.
 
-        Over the pipe, each message is sent before any reply is
-        awaited, and a reader on the pipe's descriptor
-        (:meth:`_ShardHandle.on_readable`) takes the reply off it;
-        inline, the runtime answers on the spot.  Returns the reply
-        payloads in ``messages`` order.  A dead worker or an
+        Call it inside :meth:`_turn`.  Each message is sent before any
+        reply is awaited (:meth:`_ShardHandle.post`).  Returns the
+        reply payloads in ``messages`` order.  A dead worker or an
         ``("error", traceback)`` reply raises
         :class:`~repro.errors.ShardError`, but only once every other
-        shard has answered, so no reply is left in a pipe.  A caller
-        cancelled mid-exchange leaves its replies in flight; the next
-        exchange lets them land before it sends.
+        shard has answered, so no reply is left in a pipe.
         """
         loop = asyncio.get_running_loop()
-        async with self._lock:
-            if self._in_flight:
-                await asyncio.wait(self._in_flight)
-            replies: list[asyncio.Future] = []
-            self._in_flight = replies
-            for handle, message in messages:
-                reply = loop.create_future()
-                replies.append(reply)
-                if handle.runtime is not None:
-                    handle.resolve(reply, handle.runtime.handle(message))
-                    continue
-                assert handle.conn is not None, "the service is started"
-                try:
-                    handle.conn.send(message)
-                except ConnectionError:
-                    pass  # the worker is gone: the reader reports its EOF
-                loop.add_reader(handle.conn.fileno(), handle.on_readable, loop, reply)
-            if replies:
-                await asyncio.wait(replies)
+        replies: list[asyncio.Future] = []
+        self._in_flight = replies
+        for handle, message in messages:
+            reply = loop.create_future()
+            replies.append(reply)
+            handle.post(loop, message, reply)
+        if replies:
+            await asyncio.wait(replies)
         return [reply.result() for reply in replies]
+
+    async def _exchange(
+        self, messages: list[tuple[_ShardHandle, tuple[str, object]]]
+    ) -> list[Any]:
+        """One :meth:`_round` in its own :meth:`_turn`."""
+        async with self._turn():
+            return await self._round(messages)
 
     # -- serving ----------------------------------------------------------
 
@@ -455,39 +509,26 @@ class ShardedLookupService(TierControl):
         start = time.perf_counter()
         batch_index = self.batches_served
         self.batches_served += 1
-        part = self.distributor.partition(vnids)
-        sorted_addresses = part.gather(addresses)
-        vn_shed = np.zeros(self.k, dtype=np.int64)
-        results = np.full(len(addresses), SHED_RESULT, dtype=np.int64)
-        messages: list[tuple[_ShardHandle, tuple[str, object]]] = []
-        positions: list[np.ndarray] = []
-        for handle in self.shards:
-            lo, hi = handle.vn_lo, handle.vn_hi
-            sl = slice(int(part.offsets[lo]), int(part.offsets[hi]))
-            if sl.start == sl.stop:
-                continue
-            request = ShardBatchRequest(
-                batch_index=batch_index,
-                addresses=sorted_addresses[sl],
-                vnids=_local_vnids(part.offsets[lo : hi + 1]),
-                queue_seed=batch_index * len(self.shards)
-                + handle.config.shard_id,
+        work = [(handle, handle.lanes(vnids)) for handle in self.shards]
+        work = [(handle, lanes) for handle, lanes in work if len(lanes)]
+        # every lane belongs to exactly one shard, which answers it
+        results = np.empty(len(addresses), dtype=np.int64)
+        traces: dict[int, ServeTrace] = {}
+        async with self._turn():
+            grown = [handle for handle, lanes in work if handle.reserve(len(lanes))]
+            if grown:
+                await self._round([(handle, ("arena", handle.arena)) for handle in grown])
+            replies = await self._round(
+                [
+                    (handle, ("lanes", (batch_index, handle.stage(addresses, vnids, lanes))))
+                    for handle, lanes in work
+                ]
             )
-            messages.append((handle, ("serve", request)))
-            positions.append(part.order[sl])
-
-        outcomes = await self._exchange(messages)
-        shard_results: dict[int, ShardBatchResult] = {}
-        for (handle, _), outcome, where in zip(messages, outcomes, positions):
-            assert isinstance(outcome, ShardBatchResult)
-            shard_results[handle.config.shard_id] = outcome
-            results[where] = outcome.results
-            # the shard's own admission and walk shedding, rebased to
-            # global VNs (empty on a nominal batch)
-            if outcome.trace.vn_shed:
-                vn_shed[handle.vn_lo : handle.vn_hi] += outcome.trace.vn_shed
-        offered = np.diff(part.offsets)
-        trace = self._account(shard_results, offered, vn_shed, len(addresses), start)
+            for (handle, lanes), reply in zip(work, replies):
+                assert isinstance(reply, ServeTrace) and handle.arena is not None
+                traces[handle.config.shard_id] = reply
+                results[lanes] = handle.arena.results[: len(lanes)]
+        trace = self._account(traces, vnids, start)
         self._publish(trace, batch_index)
         return results, trace
 
@@ -501,23 +542,21 @@ class ShardedLookupService(TierControl):
     # -- accounting -------------------------------------------------------
 
     def _account(
-        self,
-        shard_results: dict[int, ShardBatchResult],
-        offered: np.ndarray,
-        vn_shed: np.ndarray,
-        n: int,
-        start: float,
+        self, traces: dict[int, ServeTrace], vnids: np.ndarray, start: float
     ) -> ServeTrace:
         """Reassemble shard traces into one global-shaped ServeTrace.
 
         NV/VS: per-VN engine traces concatenate in global VN order (a
-        shard that answered nothing contributes empty traces).  VM:
-        the shards' merged-engine traces fold into a single engine
-        trace — the global topology has one engine, and the power
-        model attributes by lookup share, which summing preserves.
+        shard that answered nothing contributes empty traces), and VN
+        *i*'s admitted count is engine *i*'s ``n_packets``.  VM: the
+        shards' merged-engine traces fold into a single engine trace —
+        the global topology has one engine, and the power model
+        attributes by lookup share, which summing preserves — and the
+        admitted counts are a ``bincount`` of the VNIDs less the shed.
         """
         empty = np.array([], dtype=np.int64)
         engine_traces: list[PipelineTrace] = []
+        vn_shed = np.zeros(self.k, dtype=np.int64)
         retries = 0
         walk_failures = 0
         failed_engines: list[int] = []
@@ -525,15 +564,18 @@ class ShardedLookupService(TierControl):
         weights: list[float] = []
         reports: list[LatencyReport] = []
         for handle in self.shards:
-            outcome = shard_results.get(handle.config.shard_id)
-            if outcome is None:
+            shard_trace = traces.get(handle.config.shard_id)
+            if shard_trace is None:
                 if not self.scheme.shares_engine:
                     engine_traces.extend(
                         trace_from_walk(empty, empty, self.n_stages)
                         for _ in range(handle.k_local)
                     )
                 continue
-            shard_trace = outcome.trace
+            # the shard's own admission and walk shedding, rebased to
+            # global VNs (empty on a nominal batch)
+            if shard_trace.vn_shed:
+                vn_shed[handle.vn_lo : handle.vn_hi] += shard_trace.vn_shed
             retries += shard_trace.retries
             walk_failures += shard_trace.walk_failures
             fault_labels.extend(shard_trace.fault_labels)
@@ -547,17 +589,16 @@ class ShardedLookupService(TierControl):
                 )
                 engine_traces.extend(shard_trace.engine_traces)
         if self.scheme.shares_engine:
-            merged = [
-                t
-                for outcome in shard_results.values()
-                for t in outcome.trace.engine_traces
-            ]
+            merged = [t for shard_trace in traces.values() for t in shard_trace.engine_traces]
             engine_traces = [self._merge_engine_traces(merged)]
+            offered = np.bincount(vnids, minlength=self.k)
+            vn_counts = tuple(int(c) for c in offered - vn_shed)
+        else:
+            vn_counts = tuple(t.n_packets for t in engine_traces)
         latency = self._blend_latency(reports, weights)
-        vn_counts = tuple(int(c) for c in (offered - vn_shed))
         return ServeTrace(
             scheme=self.scheme,
-            n_packets=n,
+            n_packets=len(vnids),
             engine_traces=tuple(engine_traces),
             latency=latency,
             elapsed_s=time.perf_counter() - start,

@@ -5,11 +5,15 @@ Subcommands
 ``smoke [--shards 2] [--lookups 50000] [--batches 10] [--scheme VS]``
     The CI smoke gate: boot an N-shard :class:`ShardedLookupService`
     with real worker processes, pump the requested number of lookups
-    through the asyncio front end in batches, shut the tier down
-    cleanly and then check the merged multi-shard exposition for
-    consistency — the summed per-shard ``repro_serve_lookups_total``
-    counters must equal the number of lookups the client saw answered.
-    Any mismatch, shard crash or unclean shutdown exits non-zero.
+    through the asyncio front end in batches, check every answered
+    lookup against a :class:`LookupService` built on the same tables,
+    shut the tier down cleanly and then check the merged multi-shard
+    exposition for consistency — the summed per-shard
+    ``repro_serve_lookups_total`` counters must equal the number of
+    lookups the client saw answered.  On Linux it also fails if a lane
+    arena is still mapped, or more descriptors are open, after the
+    tier stopped than before it started.  Any mismatch, shard crash,
+    leak or unclean shutdown exits non-zero.
 ``run [--rho 0.8] [--fault-seed N]``
     The same tier as an inspectable demo: serve one large batch, print
     the served/shed summary and the merged exposition.
@@ -23,7 +27,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from repro.obs.export import render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import restore_registry
 from repro.obs.tracing import Tracer
-from repro.serve import ShardedLookupService
+from repro.serve import LookupService, ShardedLookupService
 from repro.virt.schemes import Scheme
 
 
@@ -51,9 +58,9 @@ def _batches(args: argparse.Namespace, n_batches: int, per_batch: int):
         yield addresses.astype(np.uint32), vnids
 
 
-def _service(args: argparse.Namespace, **kwargs) -> ShardedLookupService:
+def _service(args: argparse.Namespace, tables, **kwargs) -> ShardedLookupService:
     return ShardedLookupService(
-        _tables(args),
+        tables,
         Scheme[args.scheme],
         n_shards=args.shards,
         transport=args.transport,
@@ -63,19 +70,60 @@ def _service(args: argparse.Namespace, **kwargs) -> ShardedLookupService:
     )
 
 
-async def _smoke(args: argparse.Namespace) -> int:
-    per_batch = max(1, args.lookups // args.batches)
-    served = 0
-    async with _service(args) as service:
+#: this process's entries in procfs (Linux); elsewhere the leak check is off
+_PROC = Path("/proc/self")
+
+
+def _open_fds() -> int:
+    return len(os.listdir(_PROC / "fd")) if (_PROC / "fd").is_dir() else 0
+
+
+def _leaks(fds_before: int) -> list[str]:
+    """What a stopped tier left in this process (Linux only, else nothing)."""
+    if not (_PROC / "maps").exists():
+        return []
+    gc.collect()
+    leaks = []
+    if "memfd:repro-lanes" in (_PROC / "maps").read_text():
+        leaks.append("a lane arena is still mapped")
+    fds = _open_fds()
+    if fds > fds_before:
+        leaks.append(f"{fds - fds_before} more descriptor(s) open than before start")
+    return leaks
+
+
+async def _serve_smoke(args: argparse.Namespace, tables, per_batch: int):
+    """Serve the smoke batches; returns each with its answers, and the
+    merged snapshot."""
+    served = []
+    async with _service(args, tables) as service:
         for addresses, vnids in _batches(args, args.batches, per_batch):
             results, trace = await service.serve(addresses, vnids)
-            served += int(np.count_nonzero(results != SHED_RESULT))
+            served.append((addresses, vnids, results))
             if trace.n_shed:
                 print(
                     f"warning: {trace.n_shed} lookups shed under nominal load",
                     file=sys.stderr,
                 )
         merged = await service.merged_snapshot()
+    return served, merged
+
+
+def _smoke(args: argparse.Namespace) -> int:
+    per_batch = max(1, args.lookups // args.batches)
+    tables = _tables(args)
+    fds_before = _open_fds()
+    batches, merged = asyncio.run(_serve_smoke(args, tables, per_batch))
+    failures = _leaks(fds_before)
+    # the reference walks here, after the tier stopped, off the event loop
+    reference = LookupService(tables, Scheme[args.scheme])
+    served = 0
+    mismatches = 0
+    for addresses, vnids, results in batches:
+        answered = results != SHED_RESULT
+        served += int(np.count_nonzero(answered))
+        expected = reference.lookup_batch(addresses, vnids)
+        mismatches += int(np.count_nonzero(results[answered] != expected[answered]))
 
     counted = merged.counter_total("repro_serve_lookups_total")
     total = args.batches * per_batch
@@ -84,18 +132,22 @@ async def _smoke(args: argparse.Namespace) -> int:
         f"{total} lookups offered, {served} answered, "
         f"{counted:.0f} counted across shard registries"
     )
+    if mismatches:
+        failures.append(f"{mismatches} answered lookup(s) differ from LookupService")
     if counted != served:
-        print(
-            "serve-smoke: FAIL — merged shard counters disagree with the "
-            f"client-observed count ({counted:.0f} != {served})",
-            file=sys.stderr,
+        failures.append(
+            "merged shard counters disagree with the client-observed count "
+            f"({counted:.0f} != {served})"
         )
+    for failure in failures:
+        print(f"serve-smoke: FAIL — {failure}", file=sys.stderr)
+    if failures:
         return 1
-    print("serve-smoke: OK — merged exposition is consistent")
+    print("serve-smoke: OK — answers match LookupService, merged exposition is consistent")
     return 0
 
 
-async def _run(args: argparse.Namespace) -> int:
+async def _run_tier(args: argparse.Namespace) -> int:
     plan = None
     if args.fault_seed is not None:
         scheme = Scheme[args.scheme]
@@ -106,7 +158,7 @@ async def _run(args: argparse.Namespace) -> int:
             n_faults=args.n_faults,
         )
     async with _service(
-        args, offered_load_fraction=args.rho, fault_plan=plan
+        args, _tables(args), offered_load_fraction=args.rho, fault_plan=plan
     ) as service:
         addresses, vnids = next(iter(_batches(args, 1, args.lookups)))
         results, trace = await service.serve(addresses, vnids)
@@ -117,6 +169,10 @@ async def _run(args: argparse.Namespace) -> int:
         merged = await service.merged_snapshot()
     print(render_prometheus(restore_registry(merged)), end="")
     return 0
+
+
+def _run(args: argparse.Namespace) -> int:
+    return asyncio.run(_run_tier(args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     """Console-script entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return asyncio.run(args.handler(args))
+        return args.handler(args)
     except ReproError as err:
         print(f"repro-serve: {err}", file=sys.stderr)
         return 2

@@ -17,6 +17,10 @@ Pins the tier's contract from the sharded-service milestone:
   hanging, and concurrent callers of one service each get their own
   answers; a front end that dies without ``stop()`` leaves no worker
   behind;
+* each shard's lanes travel in a memfd lane arena: the pipe carries a
+  fixed number of bytes per sub-batch, arenas grow with the batch, and
+  ``stop()`` leaves no mapping, no ``/dev/shm`` entry and no helper
+  process behind;
 * per-shard power attribution sums to the single-process sampler's
   total within 1%;
 * the merged multi-shard exposition is consistent: the sum of the
@@ -24,6 +28,7 @@ Pins the tier's contract from the sharded-service milestone:
 """
 
 import asyncio
+import gc
 import os
 import subprocess
 import sys
@@ -39,6 +44,7 @@ from repro.faults.injectors import BramWriteStorm, EngineStall
 from repro.faults.plan import FaultPlan, FaultWindow
 from repro.faults.policy import SHED_RESULT
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
+from repro.serve.shard import ARENA_GRAIN
 from repro.obs.export import parse_prometheus_text, render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import merge_snapshots, restore_registry
@@ -123,37 +129,39 @@ class TestParityWithSyncService:
             run(svc.serve(addresses, vnids))
 
 
-#: bytes a sub-batch's request and reply may add beyond their per-lookup
-#: arrays: the message tuples, the trace's per-engine activity, its
-#: latency report and the pickle framing
+#: bytes a sub-batch's request and reply may take on the pipe, whatever
+#: its size: the lanes travel in the shard's arena, so this is the
+#: message tuples, the trace's per-engine activity, its latency report
+#: and the pickle framing
 PIPE_OVERHEAD_BYTES = 4096
 
 
 class TestPipePayload:
+    @pytest.mark.parametrize("n", [8000, 64_000])
     @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
-    def test_a_nominal_sub_batch_crosses_the_pipe_in_14_bytes_per_lookup(
-        self, tables, scheme, monkeypatch
+    def test_a_sub_batch_crosses_the_pipe_in_bytes_independent_of_n(
+        self, tables, scheme, n, monkeypatch
     ):
-        """4-byte addresses and 1-byte local VNIDs out, 8-byte answers back,
-        once: the engine traces carry activity only."""
+        """``(batch, n)`` out and the shard's trace back: no per-lookup
+        byte crosses the pipe."""
         from multiprocessing.reduction import ForkingPickler
 
         from repro.serve import frontend
 
         sizes = []
-        exchange = frontend.ShardedLookupService._exchange
+        round_trip = frontend.ShardedLookupService._round
 
         async def measured(svc, messages):
-            payloads = await exchange(svc, messages)
+            payloads = await round_trip(svc, messages)
             for (_, message), payload in zip(messages, payloads):
-                if message[0] == "serve":
+                if message[0] == "lanes":
                     sent = ForkingPickler.dumps(message)
                     received = ForkingPickler.dumps(("ok", payload))
-                    sizes.append((len(message[1].addresses), len(sent) + len(received)))
+                    sizes.append((message[1][1], len(sent) + len(received)))
             return payloads
 
-        monkeypatch.setattr(frontend.ShardedLookupService, "_exchange", measured)
-        addresses, vnids = _batch(8000)
+        monkeypatch.setattr(frontend.ShardedLookupService, "_round", measured)
+        addresses, vnids = _batch(n)
 
         async def go():
             async with _service(tables, scheme) as svc:
@@ -162,9 +170,9 @@ class TestPipePayload:
         results, _ = run(go())
         assert np.array_equal(results, LookupService(tables, scheme).serve(addresses, vnids)[0])
         assert len(sizes) == 2
-        for n, pickled in sizes:
-            assert n > 3000
-            assert pickled <= 14 * n + PIPE_OVERHEAD_BYTES, (n, pickled, pickled / n)
+        for lanes, pickled in sizes:
+            assert lanes > n // 3
+            assert pickled <= PIPE_OVERHEAD_BYTES, (lanes, pickled)
 
 
 def _fault(kind, scheme):
@@ -454,6 +462,7 @@ _DYING_FRONT_END = """
 import asyncio, os, sys
 import numpy as np
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
+from repro.serve.shard import ARENA_GRAIN
 from repro.serve import ShardedLookupService
 from repro.virt.schemes import Scheme
 
@@ -509,3 +518,122 @@ def test_workers_exit_when_the_front_end_dies_without_stop(tmp_path):
     for pid in orphans:  # leave nothing behind on failure either
         os.kill(pid, 9)
     assert not orphans, f"workers {orphans} outlived their front end"
+
+
+def _children():
+    """This process's live child processes."""
+    pids = set()
+    for task in Path("/proc/self/task").iterdir():
+        pids.update(int(pid) for pid in (task / "children").read_text().split())
+    return {pid for pid in pids if _running(pid)}
+
+
+def _arena_maps():
+    """This process's mappings of a shard lane arena."""
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    return [line for line in maps if "memfd:repro-lanes" in line]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+class TestLaneArenaLifecycle:
+    @pytest.mark.parametrize("transport", ["process", "inline"])
+    def test_stop_leaves_no_arena_and_no_helper_process(self, tables, transport):
+        """The arenas are memfds: no ``/dev/shm`` segment to unlink and
+        no resource tracker process, and ``stop()`` unmaps them."""
+        shm = set(os.listdir("/dev/shm"))
+        before = _children()
+        addresses, vnids = _batch(4000)
+
+        async def go():
+            svc = await _service(tables, transport=transport).start()
+            try:
+                results, _ = await svc.serve(addresses, vnids)
+                workers = {h.process.pid for h in svc.shards if h.process is not None}
+                spawned, mapped = _children() - before, len(_arena_maps())
+            finally:
+                await svc.stop()
+            # still referenced, so no collector unmapped them: stop() did
+            return results, workers, spawned, mapped, _arena_maps()
+
+        results, workers, spawned, mapped, after_stop = run_bounded(go())
+        gc.collect()
+        assert np.array_equal(results, LookupService(tables, Scheme.VS).serve(addresses, vnids)[0])
+        assert len(workers) == (2 if transport == "process" else 0)
+        assert spawned == workers
+        assert mapped == 2
+        assert after_stop == []
+        assert set(os.listdir("/dev/shm")) <= shm
+
+
+def _edge_batches():
+    """Batches of 0, 1, 10, 16,384, 100,000 and 50 lanes, then one whose
+    VNIDs all fall in shard 1."""
+    batches = [_batch(n, seed=20 + i) for i, n in enumerate((0, 1, 10, 16_384, 100_000, 50))]
+    addresses, vnids = _batch(3000, seed=31)
+    batches.append((addresses, 2 + vnids % 2))
+    return batches
+
+
+def _sync_reference(tables, scheme):
+    """The synchronous service, metered so its trace carries ``vn_counts``."""
+    return LookupService(
+        tables, scheme, registry=MetricsRegistry(enabled=True), tracer=Tracer(enabled=False)
+    )
+
+
+class TestLaneArenaGrowth:
+    @pytest.mark.parametrize("metrics", [True, False])
+    @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
+    def test_growing_and_edge_batches_match_sync(self, tables, scheme, metrics):
+        batches = _edge_batches()
+
+        async def go():
+            async with _service(
+                tables, scheme, transport="process", metrics=metrics
+            ) as svc:
+                served = [await svc.serve(a, v) for a, v in batches]
+                return served, [h.arena.capacity for h in svc.shards]
+
+        served, capacities = run_bounded(go())
+        # each shard took about half of the 100,000-lane batch
+        assert all(capacity >= 40_000 for capacity in capacities)
+        sync = _sync_reference(tables, scheme)
+        for (addresses, vnids), (results, trace) in zip(batches, served):
+            expected, expected_trace = sync.serve(addresses, vnids)
+            assert np.array_equal(results, expected)
+            assert trace.vn_counts == expected_trace.vn_counts
+            assert trace.n_packets == len(addresses)
+
+    def test_a_shard_of_more_than_256_vns(self):
+        k = 257
+        big = generate_virtual_tables(k, 0.5, SyntheticTableConfig(n_prefixes=8, seed=4))
+        addresses, vnids = _batch(5000, seed=12, k=k)
+
+        async def go():
+            async with _service(big, Scheme.VM, transport="process", n_shards=1) as svc:
+                return await svc.serve(addresses, vnids)
+
+        results, trace = run_bounded(go())
+        expected, expected_trace = _sync_reference(big, Scheme.VM).serve(addresses, vnids)
+        assert np.array_equal(results, expected)
+        assert trace.vn_counts == expected_trace.vn_counts
+
+    def test_lanes_beyond_the_arena_come_back_as_an_error(self, tables):
+        """A ``lanes`` request larger than the worker's arena is refused
+        with an error reply, and the worker keeps serving."""
+        addresses, vnids = _batch(1000)
+
+        async def go():
+            async with _service(tables, transport="process") as svc:
+                await svc.serve(addresses, vnids)
+                handle = svc.shards[0]
+                assert handle.arena.capacity == ARENA_GRAIN
+                with pytest.raises(ShardError, match="do not fit"):
+                    await svc._exchange([(handle, ("lanes", (1, ARENA_GRAIN + 1)))])
+                return await svc.serve(addresses, vnids)
+
+        results, _ = run_bounded(go())
+        assert np.array_equal(results, LookupService(tables, Scheme.VS).serve(addresses, vnids)[0])

@@ -1,12 +1,18 @@
-"""Shard worker runtime and fault-plan scoping (repro.serve.shard)."""
+"""Shard worker runtime, its reply's pickled form and fault-plan scoping
+(repro.serve.shard)."""
+
+from dataclasses import fields
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
 from repro.faults.injectors import BramWriteStorm, EngineStall, TransientWalkFailure
 from repro.faults.plan import FaultPlan, FaultWindow
+from repro.iplookup.pipeline import PipelineTrace
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
-from repro.serve.shard import ShardBatchRequest, ShardConfig, ShardRuntime
+from repro.serve.service import ServeTrace
+from repro.serve.shard import LaneArena, ShardBatchRequest, ShardConfig, ShardRuntime
 from repro.virt.queueing import md1_wait_ns
 from repro.virt.schemes import Scheme
 
@@ -84,25 +90,84 @@ class TestShardRuntime:
 
     def test_handle_protocol(self, tables):
         runtime = ShardRuntime(_config(tables, 0, 2))
-        op, payload = runtime.handle(("serve", _request(2)))
-        assert op == "ok"
-        op, snapshot = runtime.handle(("metrics", None))
-        assert op == "ok" and snapshot.shard == "0"
-        assert runtime.handle(("stop", None)) == ("bye", None)
-        op, message = runtime.handle(("unknown", None))
-        assert op == "error" and "unknown" in message
+        request = _request(2)
+        n = len(request.addresses)
+        arena = LaneArena.create(n)
+        try:
+            assert runtime.handle(("arena", arena)) == ("ok", None)
+            arena.addresses[:n] = request.addresses
+            arena.vnids[:n] = request.vnids
+            op, trace = runtime.handle(("lanes", (0, n)))
+            assert op == "ok" and trace.n_packets == n
+            assert np.array_equal(arena.results[:n], runtime.serve(request).results)
+            op, snapshot = runtime.handle(("metrics", None))
+            assert op == "ok" and snapshot.shard == "0"
+            assert runtime.handle(("stop", None)) == ("bye", None)
+            op, message = runtime.handle(("unknown", None))
+            assert op == "error" and "unknown" in message
+        finally:
+            arena.close()
 
     def test_handle_wraps_failures_as_error_replies(self, tables):
         runtime = ShardRuntime(_config(tables, 0, 2))
-        bad = ShardBatchRequest(
-            batch_index=0,
-            addresses=np.zeros(3, dtype=np.uint32),
-            vnids=np.zeros(2, dtype=np.int64),  # truncated
-            queue_seed=0,
-        )
-        op, message = runtime.handle(("serve", bad))
-        assert op == "error"
-        assert "truncated" in message
+        op, message = runtime.handle(("lanes", (0, 3)))
+        assert op == "error" and "no lane arena" in message
+        arena = LaneArena.create(3)
+        try:
+            runtime.handle(("arena", arena))
+            arena.addresses[:3] = 0
+            arena.vnids[:3] = (0, 1, 2)  # VN 2 is not this shard's
+            op, message = runtime.handle(("lanes", (0, 3)))
+            assert op == "error" and "vnid_range" in message
+            op, message = runtime.handle(("lanes", (0, arena.capacity + 1)))
+            assert op == "error" and "do not fit" in message
+        finally:
+            arena.close()
+
+
+def _round_trip(value):
+    return ForkingPickler.loads(bytes(ForkingPickler.dumps(value)))
+
+
+def _assert_traces_equal(copy, original):
+    for field in fields(PipelineTrace):
+        if not field.compare:
+            continue
+        a, b = getattr(copy, field.name), getattr(original, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == np.int64 and a.flags.writeable, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestReplyPickling:
+    """A shard's reply, its ServeTrace, crosses the pipe pickled: the
+    copy must equal the original, with int64 arrays a caller may write."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
+    def test_serve_trace_round_trips(self, tables, scheme):
+        plan = FaultPlan((FaultWindow(0, 1, EngineStall(0, 0.0)),))
+        runtime = ShardRuntime(_config(tables, 0, 2, scheme=scheme, fault_plan=plan))
+        for batch_index in (0, 1):  # degraded, then nominal
+            trace = runtime.serve(_request(2, batch_index=batch_index)).trace
+            copy = _round_trip(trace)
+            assert isinstance(copy, ServeTrace)
+            for field in fields(ServeTrace):
+                if field.name != "engine_traces":
+                    assert getattr(copy, field.name) == getattr(trace, field.name)
+            assert len(copy.engine_traces) == len(trace.engine_traces)
+            for a, b in zip(copy.engine_traces, trace.engine_traces):
+                _assert_traces_equal(a, b)
+
+    def test_pipeline_trace_round_trips_writeable(self, tables):
+        trace = ShardRuntime(_config(tables, 0, 2)).serve(_request(2)).trace
+        original = trace.engine_traces[0]
+        copy = _round_trip(original)
+        _assert_traces_equal(copy, original)
+        assert copy.total_accesses == original.total_accesses
+        copy.accesses_per_stage[0] += 1  # its own memory, not the pickle's
+        assert copy.accesses_per_stage[0] == original.accesses_per_stage[0] + 1
 
 
 class TestScopedPlans:
