@@ -192,7 +192,10 @@ class ShardRuntime:
     Hosts the full :class:`LookupService` composition over the shard's
     tables with a private registry (so per-shard counters merge
     losslessly under the ``shard`` label) and a disabled tracer (span
-    streams don't cross processes; the frontend owns tracing).  Also
+    streams don't cross processes; the frontend owns tracing).  Its
+    engine group walks every sub-batch in one chunk, on the worker's
+    own thread, however large (:func:`repro.serve.stages.walk_nominal`
+    splits only outside the sharded tier).  Also
     usable in-process via the frontend's ``inline`` transport, which
     is how the unit suite exercises the tier deterministically.
     """
@@ -212,6 +215,9 @@ class ShardRuntime:
             registry=self.registry,
             tracer=Tracer(enabled=False),
         )
+        # the tier runs one worker process per shard already: helper
+        # threads inside a worker would only compete for the same cores
+        self.service.group.max_chunks = 1
 
     def serve(self, request: ShardBatchRequest) -> ShardBatchResult:
         """Answer one sub-batch at the frontend's batch index.

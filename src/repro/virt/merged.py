@@ -213,7 +213,11 @@ class MergedTrie:
         return depths, results
 
     def walk_histogram(
-        self, addresses: np.ndarray, vnids: np.ndarray, workspace: WalkWorkspace
+        self,
+        addresses: np.ndarray,
+        vnids: np.ndarray,
+        workspace: WalkWorkspace,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(hist, results)`` of a batch whose int64 VNIDs are known in range.
 
@@ -224,15 +228,20 @@ class MergedTrie:
         ended at depth ``d``: one ``bincount`` of the bins the packed
         gather yields.  Its row sums are the depth histogram the
         pipeline accounting reads, its column sums the per-VN lookup
-        counts.  The results are a fresh array.  The caller counts
-        the node visits, from the histogram.
+        counts.  The results are written into ``out`` (an int64 array
+        of one lane per address) when given, else into a fresh array.
+        The caller counts the node visits, from the histogram.
         """
-        bins, results = self._walk_packed(addresses, vnids, workspace)
+        bins, results = self._walk_packed(addresses, vnids, workspace, out)
         hist = np.bincount(bins, minlength=(self._frozen.depth + 1) * self.k)
         return hist.reshape(-1, self.k), results
 
     def _walk_packed(
-        self, addresses: np.ndarray, vnids: np.ndarray, workspace: WalkWorkspace
+        self,
+        addresses: np.ndarray,
+        vnids: np.ndarray,
+        workspace: WalkWorkspace,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(bins, results)``: each lane's ``level * k + vnid`` and answer.
 
@@ -240,13 +249,13 @@ class MergedTrie:
         gather of the packed table at ``leaf * k + vnid`` into the
         workspace — no per-packet Python on tries up to 32 bits wide.
         The bins are a view of the workspace, valid until its next
-        walk; the results are a fresh array.
+        walk; the results are ``out`` or a fresh array.
         """
         node = self._frozen.walk(addresses, 0, workspace)
         node *= self.k
         node += vnids
         packed = np.take(self._packed, node, out=workspace.key[: len(node)], mode="wrap")
-        results = np.right_shift(packed, self._shift)
+        results = np.right_shift(packed, self._shift, out=out)
         return np.bitwise_and(packed, self._mask, out=packed), results
 
     def lookup_batch(self, addresses: np.ndarray, vnids: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shard worker runtime, its reply's pickled form and fault-plan scoping
 (repro.serve.shard)."""
 
+import threading
 from dataclasses import fields
 from multiprocessing.reduction import ForkingPickler
 
@@ -87,6 +88,22 @@ class TestShardRuntime:
         assert nominal.trace.n_shed == 0
         faulted = runtime.serve(_request(2, batch_index=5))
         assert faulted.trace.n_shed > 0
+
+    def test_walks_a_large_sub_batch_without_helper_threads(self, tables):
+        """The tier already runs one process per shard, so a worker walks
+        even a sub-batch large enough to split on its own thread."""
+        runtime = ShardRuntime(_config(tables, 0, 2))
+        request = _request(2, n=100_000)
+        before = set(threading.enumerate())
+        result = runtime.serve(request)
+        assert set(threading.enumerate()) <= before
+        assert len(runtime.service.group.workspaces) == 1
+        for local_vn in (0, 1):
+            lanes = np.flatnonzero(request.vnids == local_vn)
+            for first in range(0, len(lanes), 4096):  # bounds the scan's matrix
+                chunk = lanes[first : first + 4096]
+                oracle = tables[local_vn].lookup_linear_batch(request.addresses[chunk])
+                assert np.array_equal(result.results[chunk], oracle)
 
     def test_handle_protocol(self, tables):
         runtime = ShardRuntime(_config(tables, 0, 2))

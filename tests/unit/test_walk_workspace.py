@@ -163,6 +163,7 @@ from repro.virt.schemes import Scheme
 scheme, n = Scheme[sys.argv[1]], int(sys.argv[2])
 tables = generate_virtual_tables(4, 0.5, SyntheticTableConfig(n_prefixes=300, seed=21))
 service = LookupService(tables, scheme)
+service.group.max_chunks = int(sys.argv[3])
 rng = np.random.default_rng(5)
 addresses = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
 vnids = rng.integers(0, 4, size=n, dtype=np.int64)
@@ -175,15 +176,24 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 
 
-@pytest.mark.parametrize(("scheme", "n"), [("VS", 100_000), ("VM", 50_000)])
-def test_steady_state_batches_take_almost_no_page_faults(scheme, n):
+@pytest.mark.parametrize(
+    ("scheme", "n", "chunks"),
+    [
+        pytest.param("VS", 100_000, 1, id="VS-100000"),
+        pytest.param("VM", 50_000, 1, id="VM-50000"),
+        pytest.param("VS", 100_000, 2, id="VS-100000-split"),
+        pytest.param("VM", 100_000, 2, id="VM-100000-split"),
+    ],
+)
+def test_steady_state_batches_take_almost_no_page_faults(scheme, n, chunks):
     """Fresh lane-sized walk temporaries came back from the allocator as
     new pages on every large batch (hundreds of minor faults each); the
-    group's workspace is reused instead."""
+    group's workspaces are reused instead, one per chunk of a split
+    batch."""
     src = str(Path(__file__).resolve().parents[2] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(
-        [sys.executable, "-c", _FAULTS_PER_BATCH, scheme, str(n)],
+        [sys.executable, "-c", _FAULTS_PER_BATCH, scheme, str(n), str(chunks)],
         env=env,
         capture_output=True,
         text=True,
@@ -191,4 +201,6 @@ def test_steady_state_batches_take_almost_no_page_faults(scheme, n):
     )
     assert run.returncode == 0, run.stderr
     faults = float(run.stdout)
-    assert faults < 10, f"{faults:.1f} minor page faults per {n:,}-lane {scheme} batch"
+    assert faults < 10, (
+        f"{faults:.1f} minor page faults per {n:,}-lane {scheme} batch in {chunks} chunk(s)"
+    )
