@@ -113,7 +113,7 @@ class FaultPlan:
     def scoped_to_engines(self, engines: tuple[int, ...]) -> "FaultPlan":
         """Project this plan onto one shard's slice of the engines.
 
-        The sharded tier builds one service per worker process, each
+        The sharded tier builds one service per shard, each
         owning a contiguous slice of the global engines; a plan
         authored against the *global* topology must be re-expressed in
         each shard's local indices.  Engine-targeted faults (stalls,

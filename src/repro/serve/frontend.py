@@ -2,10 +2,12 @@
 
 This is the "millions of users" face of the serving stack.  The serve
 core is :class:`~repro.serve.service.LookupService`, hosted once per
-**shard worker process** (:mod:`repro.serve.shard`); this front end
-only splits each batch across the shards and puts it back together.
-The control plane (operating point, offered load, capacity, the
-publish tail, the oracle check) is the same
+shard (:mod:`repro.serve.shard`): shards ``0 … n_shards − 2`` each in
+a **worker process**, and the last shard in the front end's own
+process, whose event loop walks it while the workers walk theirs.
+Otherwise the front end only splits each batch across the shards and
+puts it back together.  The control plane (operating point, offered
+load, capacity, the publish tail, the oracle check) is the same
 :class:`~repro.serve.service.TierControl` the synchronous tier uses.
 One batch flows as:
 
@@ -18,12 +20,14 @@ One batch flows as:
    :class:`~repro.serve.shard.LaneArena`, a ``memfd`` mapping the
    worker shares;
 3. **exchange** — every shard is sent ``(batch_index, n)`` before any
-   reply is awaited, and each reply, the shard's trace, is read by an
-   event-loop reader on its pipe, so the shards walk concurrently,
-   each in its own process, and the loop never blocks on a worker.
-   One lock per service keeps each pipe strictly request/reply and
-   each arena to one batch: staging, the exchange and reading the
-   answers back all happen under it;
+   reply is awaited, and each worker's reply, the shard's trace, is
+   read by an event-loop reader on its pipe, so the shards walk
+   concurrently and the loop never blocks on a worker.  The front
+   end's own shard is posted last: its runtime answers on the loop,
+   once every worker already has its request.  One lock per service
+   keeps each pipe strictly request/reply and each arena to one
+   batch: staging, the exchange and reading the answers back all
+   happen under it;
 4. **admit and walk** — each shard's ``LookupService`` admits per
    engine under its scoped fault plan
    (:func:`repro.serve.stages.plan_admission`, exactly the
@@ -48,7 +52,10 @@ Metrics appear on two surfaces: shard-local registries (scraped and
 merged through shard-labeled snapshots — :meth:`ShardedLookupService.scrape`
 / :meth:`~ShardedLookupService.merged_snapshot`) and the frontend's
 own ``repro_frontend_*`` / ``repro_shard_power_watts`` families on
-the process registry.  See ``docs/OBSERVABILITY.md``.
+the process registry.  The walks of the front end's own shard count
+their node visits (``repro_trie_node_visits_total``) on the front
+end's process-global registry, as the synchronous tier's walks do; a
+worker's stay in its own process.  See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -107,7 +114,11 @@ def shard_vn_bounds(k: int, n_shards: int) -> tuple[int, ...]:
 
 
 class _ShardHandle:
-    """One shard's frontend-side state: config, transport and lane arena."""
+    """One shard's frontend-side state: config, transport and lane arena.
+
+    ``inline`` shards run their :class:`ShardRuntime` in the front
+    end's process; the others run it in a worker process.
+    """
 
     def __init__(
         self, config: ShardConfig, vn_lo: int, vn_hi: int, inline: bool = False
@@ -133,7 +144,7 @@ class _ShardHandle:
         return self.config.scheme.engines_required(self.k_local)
 
     def start_transport(self, front_ends: tuple[Connection, ...] = ()) -> None:
-        """Boot the worker (process transport) or build it inline.
+        """Boot the worker or build the runtime inline.
 
         ``front_ends`` are the front end's ends of the pipes already
         open (earlier shards').  A forked worker inherits them and its
@@ -158,8 +169,16 @@ class _ShardHandle:
         self.conn = parent
         self.process = process
 
-    def lanes(self, vnids: np.ndarray) -> np.ndarray:
-        """Indices of the batch's lanes in this shard's VN range, in arrival order."""
+    def lanes(self, vnids: np.ndarray, k: int) -> np.ndarray:
+        """Indices of the batch's lanes in this shard's VN range, in arrival order.
+
+        ``vnids`` are validated to ``0..k-1``, so the first and the last
+        shard test one bound only.
+        """
+        if self.vn_lo == 0:
+            return np.flatnonzero(vnids < self.vn_hi)
+        if self.vn_hi == k:
+            return np.flatnonzero(vnids >= self.vn_lo)
         return np.flatnonzero((vnids >= self.vn_lo) & (vnids < self.vn_hi))
 
     def reserve(self, n: int) -> bool:
@@ -270,7 +289,7 @@ class _ShardHandle:
 
 
 class ShardedLookupService(TierControl):
-    """Asyncio front end over shard worker processes.
+    """Asyncio front end over shard worker processes and a shard of its own.
 
     The async twin of :class:`~repro.serve.service.LookupService`:
     same constructor vocabulary plus sharding knobs, an ``async``
@@ -286,11 +305,14 @@ class ShardedLookupService(TierControl):
         their per-VN engines; VM gives each shard a merged engine over
         its own VN range.
     n_shards:
-        Worker processes to fan out across (1 ≤ n_shards ≤ K).
+        Shards to fan out across (1 ≤ n_shards ≤ K).
     transport:
         ``"process"`` (default) boots one worker process per shard
-        over a pipe; ``"inline"`` hosts the shard runtimes in-process
-        — same code path minus the pipe, for deterministic tests.
+        but the last, each over a pipe, and serves the last shard in
+        the front end's own process, on the event loop, while the
+        workers walk theirs: ``n_shards − 1`` workers in all.
+        ``"inline"`` hosts every shard runtime in-process — same code
+        path minus the pipes, for deterministic tests.
     fault_plan:
         *Global* fault plan; engine-targeted faults are re-scoped to
         each shard's local engines
@@ -351,6 +373,10 @@ class ShardedLookupService(TierControl):
         self.shards: list[_ShardHandle] = []
         for shard_id in range(n_shards):
             lo, hi = self.bounds[shard_id], self.bounds[shard_id + 1]
+            # the front end walks the last shard itself: it is posted
+            # last, once every worker has its request, and start() forks
+            # every worker before it builds this shard's engines
+            inline = transport == "inline" or shard_id == n_shards - 1
             plan = self._scoped_plan(fault_plan, lo, hi)
             config = ShardConfig(
                 shard_id=shard_id,
@@ -364,9 +390,7 @@ class ShardedLookupService(TierControl):
                 policy=self.policy,
                 metrics=metrics,
             )
-            self.shards.append(
-                _ShardHandle(config, lo, hi, inline=transport == "inline")
-            )
+            self.shards.append(_ShardHandle(config, lo, hi, inline=inline))
 
     def _scoped_plan(
         self, plan: FaultPlan | None, lo: int, hi: int
@@ -419,7 +443,11 @@ class ShardedLookupService(TierControl):
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> "ShardedLookupService":
-        """Boot the shard workers (they build their engines on their own)."""
+        """Boot the shard workers, then build the front end's own shard.
+
+        The workers build their engines on their own, while the front
+        end builds its shard's.
+        """
         if not self._started:
             for handle in self.shards:
                 handle.start_transport(
@@ -509,7 +537,7 @@ class ShardedLookupService(TierControl):
         start = time.perf_counter()
         batch_index = self.batches_served
         self.batches_served += 1
-        work = [(handle, handle.lanes(vnids)) for handle in self.shards]
+        work = [(handle, handle.lanes(vnids, self.k)) for handle in self.shards]
         work = [(handle, lanes) for handle, lanes in work if len(lanes)]
         # every lane belongs to exactly one shard, which answers it
         results = np.empty(len(addresses), dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Shard worker: one engine group serving its slice of the VNs.
+"""Shard runtime and worker: one engine group serving its slice of the VNs.
 
 One shard owns a **contiguous range of virtual networks** and hosts a
 complete, shared-nothing :class:`~repro.serve.service.LookupService`
@@ -11,7 +11,10 @@ a batch and writes them, with VNIDs rebased to the shard's range, into
 that shard's :class:`LaneArena`: one ``memfd`` mapping shared with the
 worker, which writes its answers back into it.  The lane arrays never
 cross the :func:`multiprocessing.Pipe`; it carries only the
-protocol's small messages.
+protocol's small messages.  With the process transport, shards
+``0 … n_shards − 2`` run :func:`shard_worker` in worker processes and
+the front end hosts the last shard's :class:`ShardRuntime` itself,
+calling :meth:`ShardRuntime.handle` on its event loop.
 
 The worker protocol is a strict request/reply alternation per pipe
 (the frontend holds one lock per service across each exchange, which
@@ -34,8 +37,9 @@ request                         reply
 any, on failure                 ``("error", formatted traceback)``
 ==============================  =======================================
 
-The inline transport hands :meth:`ShardRuntime.handle` the
-``("arena", LaneArena)`` object itself.  Everything else crossing the
+A runtime in the front end's process (the last shard's, or every
+shard's with the inline transport) is handed the ``("arena",
+LaneArena)`` object itself.  Everything else crossing the
 pipe is a plain picklable value object — the lint pack's CONC003 rule
 checks the worker entry point's defaults stay picklable.
 """
@@ -193,11 +197,12 @@ class ShardRuntime:
     tables with a private registry (so per-shard counters merge
     losslessly under the ``shard`` label) and a disabled tracer (span
     streams don't cross processes; the frontend owns tracing).  Its
-    engine group walks every sub-batch in one chunk, on the worker's
-    own thread, however large (:func:`repro.serve.stages.walk_nominal`
-    splits only outside the sharded tier).  Also
-    usable in-process via the frontend's ``inline`` transport, which
-    is how the unit suite exercises the tier deterministically.
+    engine group walks every sub-batch in one chunk, on the calling
+    thread, however large (:func:`repro.serve.stages.walk_nominal`
+    splits only outside the sharded tier).  Hosted by a worker process
+    or, for the last shard and with the frontend's ``inline``
+    transport, in the front end's own process; the inline transport is
+    how the unit suite exercises the tier deterministically.
     """
 
     def __init__(self, config: ShardConfig):
@@ -215,8 +220,8 @@ class ShardRuntime:
             registry=self.registry,
             tracer=Tracer(enabled=False),
         )
-        # the tier runs one worker process per shard already: helper
-        # threads inside a worker would only compete for the same cores
+        # the tier already walks its shards in parallel (the workers and
+        # the front end): helper threads would only compete for the cores
         self.service.group.max_chunks = 1
 
     def serve(self, request: ShardBatchRequest) -> ShardBatchResult:

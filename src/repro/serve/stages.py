@@ -36,17 +36,17 @@ no admission decision of its own.  Either way the pipeline is:
     ServeTrace              account: per-engine activity + latency
 
 Keeping the stages free functions (state rides in the
-:class:`EngineGroup` argument) is what lets a shard worker process
-host exactly the same data path as the library call — shared-nothing,
+:class:`EngineGroup` argument) is what lets every shard host exactly
+the same data path as the library call — shared-nothing,
 no hidden globals — and what keeps the two paths provably identical
 (the serve unit suite runs against the composition).
 
 Every lane of a nominal walk is independent of every other, and each
 NumPy call of the walk releases the GIL, so a large batch walks its
 chunks at the same time on the host's cores.  The answers and traces
-are those of the one-chunk walk, bit for bit.  A shard worker walks
-serially (:class:`~repro.serve.shard.ShardRuntime` caps its group at
-one chunk): the sharded tier already runs one process per shard.  The
+are those of the one-chunk walk, bit for bit.  A shard walks serially
+(:class:`~repro.serve.shard.ShardRuntime` caps its group at one
+chunk): the sharded tier already walks its shards in parallel.  The
 degraded path is serial too.
 """
 
@@ -245,7 +245,7 @@ class EngineGroup:
     snapshots; for VM it is the single
     :class:`~repro.virt.merged.MergedTrie` union engine.  An
     ``EngineGroup`` is shared-nothing by construction — building one
-    per shard worker process is exactly how the sharded tier fans out.
+    per shard is exactly how the sharded tier fans out.
 
     The group serves one batch at a time.  It owns one
     :class:`~repro.iplookup.trie.WalkWorkspace` per walk chunk
@@ -344,6 +344,23 @@ class EngineGroup:
         return self._pool
 
 
+def _vnids_below(vnids: np.ndarray, k: int) -> bool:
+    """Whether every one of the (non-empty, integer) ``vnids`` is in ``0..k-1``.
+
+    One reduction: viewed as the unsigned type of the same width, a
+    negative VNID reads as at least ``2**(bits - 1)``, so the unsigned
+    maximum is below ``k`` exactly when every VNID is in range — unless
+    ``k`` exceeds the signed type's maximum, where no value can reach
+    ``k`` and only the sign is left to test.
+    """
+    if vnids.dtype.kind == "i":
+        if k > np.iinfo(vnids.dtype).max:
+            return int(vnids.min()) >= 0
+        unsigned = np.dtype(f"{vnids.dtype.byteorder}u{vnids.dtype.itemsize}")
+        vnids = vnids.view(unsigned)
+    return int(vnids.max()) < k
+
+
 def validate_batch(
     addresses: np.ndarray, vnids: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +412,7 @@ def validate_batch(
                 "address_range",
                 "address outside the 32-bit range would wrap on cast",
             )
-        if int(vnids.min()) < 0 or int(vnids.max()) >= k:
+        if not _vnids_below(vnids, k):
             raise MalformedBatchError(
                 "vnid_range", f"vnid out of range 0..{k - 1}"
             )

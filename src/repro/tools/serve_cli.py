@@ -4,7 +4,8 @@ Subcommands
 -----------
 ``smoke [--shards 2] [--lookups 50000] [--batches 10] [--scheme VS]``
     The CI smoke gate: boot an N-shard :class:`ShardedLookupService`
-    with real worker processes, pump the requested number of lookups
+    with N − 1 real worker processes (the front end serves the last
+    shard itself), pump the requested number of lookups
     through the asyncio front end in batches, check every answered
     lookup against a :class:`LookupService` built on the same tables,
     shut the tier down cleanly and then check the merged multi-shard
@@ -190,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=("process", "inline"),
         default="process",
-        help="shard transport (inline = same process, for debugging)",
+        help="shard transport: process = a worker process for every shard "
+        "but the last, which the front end serves itself; inline = every "
+        "shard in this process, for debugging",
     )
     parser.add_argument("--prefixes", type=int, default=500)
     parser.add_argument("--seed", type=int, default=2012)

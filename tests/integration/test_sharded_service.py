@@ -13,6 +13,9 @@ Pins the tier's contract from the sharded-service milestone:
   lives in ``tests/unit/test_queueing.py``);
 * a saturated shard sheds with :data:`~repro.faults.SHED_RESULT`
   markers and error-budget metrics;
+* the process transport runs ``n_shards − 1`` worker processes and
+  serves the last shard in the front end's own process, built after
+  every worker was forked;
 * a dead worker raises :class:`~repro.errors.ShardError` instead of
   hanging, and concurrent callers of one service each get their own
   answers; a front end that dies without ``stop()`` leaves no worker
@@ -411,10 +414,11 @@ class TestProcessExchange:
         async def go():
             async with _service(tables, transport="process") as svc:
                 await svc.serve(addresses, vnids)
-                victim = svc.shards[1].process
+                # shard 0 is a worker; the front end serves shard 1 itself
+                victim = svc.shards[0].process
                 victim.terminate()
                 victim.join()
-                with pytest.raises(ShardError, match="shard 1 worker died"):
+                with pytest.raises(ShardError, match="shard 0 worker died"):
                     await svc.serve(addresses, vnids)
 
         run_bounded(go())
@@ -455,7 +459,8 @@ class TestProcessExchange:
         assert np.array_equal(results, LookupService(tables, Scheme.VS).serve(*second)[0])
 
 
-#: a front end that starts a 2-shard process service, serves one batch,
+#: a front end that starts a 3-shard process service (two workers, the
+#: second forked while the first one's pipe is open), serves one batch,
 #: writes its workers' pids to the file named by argv[1] and dies
 #: without ``stop()``
 _DYING_FRONT_END = """
@@ -468,10 +473,11 @@ from repro.virt.schemes import Scheme
 
 async def main():
     tables = generate_virtual_tables(4, 0.5, SyntheticTableConfig(n_prefixes=100, seed=3))
-    svc = await ShardedLookupService(tables, Scheme.VS, n_shards=2, transport="process").start()
+    svc = await ShardedLookupService(tables, Scheme.VS, n_shards=3, transport="process").start()
     await svc.serve(np.arange(64, dtype=np.uint32), np.arange(64, dtype=np.int64) % 4)
+    workers = [handle.process for handle in svc.shards if handle.process is not None]
     with open(sys.argv[1], "w") as out:
-        out.write(" ".join(str(handle.process.pid) for handle in svc.shards))
+        out.write(" ".join(str(process.pid) for process in workers))
     os._exit(0)
 
 asyncio.run(main())
@@ -561,7 +567,8 @@ class TestLaneArenaLifecycle:
         results, workers, spawned, mapped, after_stop = run_bounded(go())
         gc.collect()
         assert np.array_equal(results, LookupService(tables, Scheme.VS).serve(addresses, vnids)[0])
-        assert len(workers) == (2 if transport == "process" else 0)
+        # n_shards - 1 workers: the front end serves the last shard itself
+        assert len(workers) == (1 if transport == "process" else 0)
         assert spawned == workers
         assert mapped == 2
         assert after_stop == []
@@ -608,12 +615,15 @@ class TestLaneArenaGrowth:
             assert trace.n_packets == len(addresses)
 
     def test_a_shard_of_more_than_256_vns(self):
-        k = 257
+        k = 514
         big = generate_virtual_tables(k, 0.5, SyntheticTableConfig(n_prefixes=8, seed=4))
         addresses, vnids = _batch(5000, seed=12, k=k)
 
         async def go():
-            async with _service(big, Scheme.VM, transport="process", n_shards=1) as svc:
+            async with _service(big, Scheme.VM, transport="process", n_shards=2) as svc:
+                # the 257-VN shard is a worker's, not the front end's
+                worker = svc.shards[0]
+                assert worker.process is not None and worker.k_local == 257
                 return await svc.serve(addresses, vnids)
 
         results, trace = run_bounded(go())
@@ -633,6 +643,102 @@ class TestLaneArenaGrowth:
                 assert handle.arena.capacity == ARENA_GRAIN
                 with pytest.raises(ShardError, match="do not fit"):
                     await svc._exchange([(handle, ("lanes", (1, ARENA_GRAIN + 1)))])
+                return await svc.serve(addresses, vnids)
+
+        results, _ = run_bounded(go())
+        assert np.array_equal(results, LookupService(tables, Scheme.VS).serve(addresses, vnids)[0])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+class TestFrontEndShard:
+    """With the process transport the front end serves the last shard
+    itself, on its event loop, while the workers walk theirs."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
+    def test_two_shards_run_one_worker(self, tables, scheme):
+        before = _children()
+        batches = [_batch(4000, seed=40), _batch(20_000, seed=41)]
+
+        async def go():
+            async with _service(tables, scheme, transport="process") as svc:
+                worker, own = svc.shards
+                assert _children() - before == {worker.process.pid}
+                assert own.runtime is not None
+                assert own.process is None and own.conn is None
+                return [await svc.serve(a, v) for a, v in batches]
+
+        served = run_bounded(go())
+        sync = _sync_reference(tables, scheme)
+        for (addresses, vnids), (results, trace) in zip(batches, served):
+            expected, expected_trace = sync.serve(addresses, vnids)
+            assert np.array_equal(results, expected)
+            assert trace.vn_counts == expected_trace.vn_counts
+
+    def test_one_shard_runs_no_worker(self, tables):
+        before = _children()
+        addresses, vnids = _batch(4000, seed=42)
+
+        async def go():
+            async with _service(tables, transport="process", n_shards=1) as svc:
+                (own,) = svc.shards
+                assert _children() == before
+                assert own.runtime is not None and own.process is None
+                return await svc.serve(addresses, vnids)
+
+        results, trace = run_bounded(go())
+        expected, expected_trace = _sync_reference(tables, Scheme.VS).serve(addresses, vnids)
+        assert np.array_equal(results, expected)
+        assert trace.vn_counts == expected_trace.vn_counts
+
+    def test_workers_fork_before_the_front_end_builds_its_shard(self, tables, monkeypatch):
+        """So the workers' builds overlap the front end's, and no worker
+        inherits the front end's engines."""
+        from repro.serve.shard import ShardRuntime
+
+        front_end, built = os.getpid(), []
+        init = ShardRuntime.__init__
+
+        def recording(runtime, config):
+            if os.getpid() == front_end:  # a forked worker runs its own copy
+                built.append((config.shard_id, _children()))
+            init(runtime, config)
+
+        monkeypatch.setattr(ShardRuntime, "__init__", recording)
+        before = _children()
+
+        async def go():
+            async with _service(tables, transport="process", n_shards=3) as svc:
+                return {handle.process.pid for handle in svc.shards[:-1]}
+
+        workers = run_bounded(go())
+        assert len(workers) == 2
+        assert [(shard_id, children - before) for shard_id, children in built] == [
+            (2, workers)
+        ]
+
+    def test_an_error_from_its_own_shard_is_raised_after_the_worker_replied(self, tables):
+        """A ``lanes`` request beyond the front end's own arena fails on the
+        spot, but the exchange reads the worker's reply before it raises,
+        so the next batch finds the pipe empty."""
+        addresses, vnids = _batch(1000)
+
+        async def go():
+            async with _service(tables, transport="process") as svc:
+                await svc.serve(addresses, vnids)
+                worker, own = svc.shards
+                assert own.arena.capacity == ARENA_GRAIN
+                worker_lanes = int(np.count_nonzero(vnids < own.vn_lo))
+                with pytest.raises(ShardError, match="do not fit"):
+                    await svc._exchange(
+                        [
+                            (worker, ("lanes", (1, worker_lanes))),
+                            (own, ("lanes", (1, ARENA_GRAIN + 1))),
+                        ]
+                    )
+                worker_reply, own_reply = svc._in_flight
+                assert worker_reply.result().n_packets == worker_lanes
+                assert isinstance(own_reply.exception(), ShardError)
+                assert not worker.conn.poll()
                 return await svc.serve(addresses, vnids)
 
         results, _ = run_bounded(go())

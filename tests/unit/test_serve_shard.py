@@ -90,8 +90,8 @@ class TestShardRuntime:
         assert faulted.trace.n_shed > 0
 
     def test_walks_a_large_sub_batch_without_helper_threads(self, tables):
-        """The tier already runs one process per shard, so a worker walks
-        even a sub-batch large enough to split on its own thread."""
+        """The tier already walks its shards in parallel, so a shard walks
+        even a sub-batch large enough to split on its caller's thread."""
         runtime = ShardRuntime(_config(tables, 0, 2))
         request = _request(2, n=100_000)
         before = set(threading.enumerate())

@@ -58,6 +58,50 @@ class TestValidateBatch:
             validate_batch(addresses, vnids, K)
         assert err.value.kind == kind
 
+    @pytest.mark.parametrize(
+        "dtype,vnid,k,valid",
+        [
+            (np.int64, -1, K, False),
+            (np.int64, 0, K, True),
+            (np.int64, K - 1, K, True),
+            (np.int64, K, K, False),
+            (np.int64, np.iinfo(np.int64).min, K, False),
+            (np.int8, -1, K, False),
+            (np.int8, np.iinfo(np.int8).min, K, False),
+            (np.int8, K - 1, K, True),
+            # every int8 is below k: only the sign can put one out of range
+            (np.int8, -100, 200, False),
+            (np.int8, np.iinfo(np.int8).max, 200, True),
+            (np.int32, -1, K, False),
+            (np.int32, K, K, False),
+            (np.int32, K - 1, K, True),
+            (np.uint16, np.iinfo(np.uint16).max, K, False),
+            (np.uint16, K, K, False),
+            (np.uint16, K - 1, K, True),
+        ],
+    )
+    def test_vnid_range(self, dtype, vnid, k, valid):
+        """One unsigned maximum checks both ends of the VNID range."""
+        vnids = np.array([0, vnid, 0], dtype=dtype)
+        addresses = np.zeros(3, dtype=np.uint32)
+        if valid:
+            _, out = validate_batch(addresses, vnids, k)
+            assert out.dtype == np.int64 and out[1] == vnid
+            return
+        with pytest.raises(MalformedBatchError, match=f"vnid out of range 0..{k - 1}") as err:
+            validate_batch(addresses, vnids, k)
+        assert err.value.kind == "vnid_range"
+
+    def test_vnid_range_on_strided_and_big_endian_vnids(self):
+        addresses = np.zeros(3, dtype=np.uint32)
+        strided = np.array([0, -1, 1, -1, 2, -1], dtype=np.int64)
+        validate_batch(addresses, strided[::2], K)
+        with pytest.raises(MalformedBatchError):
+            validate_batch(addresses, strided[1::2], K)
+        validate_batch(addresses, np.array([0, 1, 2], dtype=">i8"), K)
+        with pytest.raises(MalformedBatchError):
+            validate_batch(addresses, np.array([0, -1, 2], dtype=">i8"), K)
+
 
 class TestEngineGroup:
     def test_per_vn_engines(self, tables):
