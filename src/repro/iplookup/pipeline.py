@@ -102,39 +102,6 @@ class PipelineTrace:
             return 0.0
         return self.n_packets / self.total_cycles
 
-    def __reduce__(self) -> tuple:
-        """Pickle the stage arrays as raw int64 bytes.
-
-        A trace crosses a shard pipe in every reply; two bare byte
-        strings are a fraction of the size and the unpickling cost of
-        two pickled ndarrays.
-        """
-        return (
-            _rebuild_trace,
-            (
-                self.total_cycles,
-                self.accesses_per_stage.astype(np.int64, copy=False).tobytes(),
-                self.busy_cycles_per_stage.astype(np.int64, copy=False).tobytes(),
-                self.n_packets,
-            ),
-        )
-
-
-def _rebuild_trace(
-    total_cycles: int, accesses: bytes, busy: bytes, n_packets: int
-) -> PipelineTrace:
-    """Unpickle a :class:`PipelineTrace` (see its ``__reduce__``).
-
-    ``np.frombuffer`` over ``bytes`` is read-only, so the arrays are
-    built over writeable ``bytearray`` copies.
-    """
-    return PipelineTrace(
-        total_cycles=total_cycles,
-        accesses_per_stage=np.frombuffer(bytearray(accesses), dtype=np.int64),
-        busy_cycles_per_stage=np.frombuffer(bytearray(busy), dtype=np.int64),
-        n_packets=n_packets,
-    )
-
 
 def trace_from_walk(
     depths: np.ndarray,

@@ -19,24 +19,27 @@ One batch flows as:
    addresses and shard-local VNIDs straight into the shard's
    :class:`~repro.serve.shard.LaneArena`, a ``memfd`` mapping the
    worker shares;
-3. **exchange** — every shard is sent ``(batch_index, n)`` before any
-   reply is awaited, and each worker's reply, the shard's trace, is
-   read by an event-loop reader on its pipe, so the shards walk
-   concurrently and the loop never blocks on a worker.  The front
-   end's own shard is posted last: its runtime answers on the loop,
-   once every worker already has its request.  One lock per service
-   keeps each pipe strictly request/reply and each arena to one
-   batch: staging, the exchange and reading the answers back all
-   happen under it;
+3. **exchange** — the workers first: each worker shard is split,
+   staged and posted its fixed-size ``(batch_index, n)`` request, one
+   shard at a time, before the front end touches its own shard.  Only
+   then does the front end split and stage its own shard and walk it
+   on the loop, while the workers walk theirs.  A worker answers with
+   a one-byte token, read by an event-loop reader on its pipe, so the
+   loop never blocks on a worker.  One lock per service keeps each
+   pipe strictly request/reply and each arena to one batch: staging,
+   the exchange and reading the answers back all happen under it;
 4. **admit and walk** — each shard's ``LookupService`` admits per
    engine under its scoped fault plan
    (:func:`repro.serve.stages.plan_admission`, exactly the
    single-process policy), walks the arena's lanes and writes the
-   answers into the arena.  The front end makes no admission decision
-   of its own;
-5. **scatter / account** — the answers scatter from each arena back to
-   arrival order through the same lane indices, and the shard traces
-   reassemble into one *global-shaped*
+   answers, and its trace as a fixed-shape
+   :class:`~repro.serve.shard.ReplyHeader`, into the arena.  The
+   front end makes no admission decision of its own;
+5. **scatter / account** — each shard's answers scatter from its arena
+   back to arrival order through the same lane indices, and its header
+   folds into the batch's global arrays: the front end's own shard as
+   soon as it is walked, a worker's once its token arrives.  The
+   folded arrays become one *global-shaped*
    :class:`~repro.serve.service.ServeTrace`, so the frontend's single
    :class:`~repro.obs.power.PowerTelemetrySampler` attributes power
    exactly as a single-process service would — per-shard watts are
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing as mp
+import pickle
 import time
 from collections.abc import AsyncIterator
 from contextlib import asynccontextmanager
@@ -75,13 +79,23 @@ from repro.errors import ConfigurationError, ShardError
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import DegradationPolicy
 from repro.fpga.dvs import OperatingPoint
-from repro.iplookup.pipeline import PipelineTrace, trace_from_walk
 from repro.iplookup.rib import RoutingTable
 from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import RegistrySnapshot, merge_snapshots, snapshot_registry
 from repro.obs.tracing import Tracer
 from repro.serve.service import ServeTrace, TierControl
-from repro.serve.shard import LaneArena, ShardConfig, ShardRuntime, shard_worker
+from repro.serve.shard import (
+    LANES_DONE,
+    LANES_REQUEST,
+    LANES_TAG,
+    LaneArena,
+    ReplyHeader,
+    ReplyShape,
+    ShardConfig,
+    ShardRuntime,
+    decode_engines,
+    shard_worker,
+)
 from repro.serve.stages import validate_batch
 from repro.virt.queueing import LatencyReport
 from repro.virt.schemes import Scheme
@@ -143,6 +157,14 @@ class _ShardHandle:
     def n_engines(self) -> int:
         return self.config.scheme.engines_required(self.k_local)
 
+    @property
+    def rows(self) -> slice:
+        """This shard's engine rows in the global trace: its VNs' on
+        NV/VS, the one merged engine's on VM."""
+        if self.config.scheme.shares_engine:
+            return slice(0, 1)
+        return slice(self.vn_lo, self.vn_hi)
+
     def start_transport(self, front_ends: tuple[Connection, ...] = ()) -> None:
         """Boot the worker or build the runtime inline.
 
@@ -192,7 +214,9 @@ class _ShardHandle:
             return False
         if self.arena is not None:
             self.arena.close()
-        self.arena = LaneArena.create(n, f"repro-lanes-{self.config.shard_id}")
+        self.arena = LaneArena.create(
+            n, self.config.reply_shape, f"repro-lanes-{self.config.shard_id}"
+        )
         return True
 
     def stage(
@@ -219,9 +243,11 @@ class _ShardHandle:
 
         Inline, the runtime answers on the spot; an ``("arena",
         LaneArena)`` request hands it the arena object itself.  Over
-        the pipe, the arena crosses as ``("arena", None)`` followed by
-        its descriptor, and a reader on the pipe (:meth:`on_readable`)
-        takes the reply off it once it has arrived.
+        the pipe, a ``lanes`` request crosses as the fixed
+        :data:`~repro.serve.shard.LANES_REQUEST` bytes, the arena as
+        ``("arena", None)`` followed by its descriptor, and a reader on
+        the pipe (:meth:`on_readable`) takes the reply off it once it
+        has arrived.
         """
         if self.runtime is not None:
             self.resolve(reply, self.runtime.handle(message))
@@ -229,7 +255,10 @@ class _ShardHandle:
         assert self.conn is not None and self.process is not None, "started"
         op, payload = message
         try:
-            if isinstance(payload, LaneArena):
+            if op == "lanes":
+                assert isinstance(payload, tuple)
+                self.conn.send_bytes(LANES_REQUEST.pack(LANES_TAG, *payload))
+            elif isinstance(payload, LaneArena):
                 self.conn.send((op, None))
                 send_handle(self.conn, payload.fd, self.process.pid)
             else:
@@ -241,14 +270,22 @@ class _ShardHandle:
     def on_readable(self, loop: asyncio.AbstractEventLoop, reply: asyncio.Future) -> None:
         """Reader callback: take one reply off the pipe into ``reply``.
 
-        The only place the front end calls ``recv()``: the reply (or
-        the EOF of a dead worker) is already waiting, so the event
-        loop never blocks on a worker that has not answered.
+        The only place the front end calls ``recv_bytes()``: the reply
+        (or the EOF of a dead worker) is already waiting, so the event
+        loop never blocks on a worker that has not answered.  A served
+        ``lanes`` request's reply is the :data:`~repro.serve.shard.LANES_DONE`
+        token, and its payload the arena's header; any other reply is
+        unpickled.
         """
         assert self.conn is not None
         loop.remove_reader(self.conn.fileno())
         try:
-            message = self.conn.recv()
+            data = self.conn.recv_bytes()
+            if data == LANES_DONE:
+                assert self.arena is not None
+                message: tuple[str, object] = ("ok", self.arena.header)
+            else:
+                message = pickle.loads(data)
         except (EOFError, OSError) as error:
             reply.set_exception(
                 ShardError(f"shard {self.config.shard_id} worker died: {error!r}")
@@ -286,6 +323,46 @@ class _ShardHandle:
                 self.process.terminate()
                 self.process.join(timeout=5.0)
             self.process = None
+
+
+class _Reassembly:
+    """One batch's global trace, folded from each shard's reply header.
+
+    Fresh arrays per batch, so the trace built from them
+    (:meth:`ShardedLookupService._account`) aliases neither an arena
+    nor another batch.
+    """
+
+    def __init__(self, service: "ShardedLookupService"):
+        n_engines = 1 if service.scheme.shares_engine else service.k
+        shape = ReplyShape(n_engines, service.n_stages, service.k)
+        self.engines = np.zeros((n_engines, shape.row_words), dtype=np.int64)
+        self.vn_shed = np.zeros(service.k, dtype=np.int64)
+        self.retries = 0
+        self.walk_failures = 0
+        # per shard: (admitted lookups, pipeline_ns, queueing_ns), or
+        # None for a shard that answered nothing
+        self.reports: list[tuple[float, float, float] | None] = [None] * service.n_shards
+
+    def fold(
+        self,
+        handle: _ShardHandle,
+        lanes: np.ndarray,
+        header: ReplyHeader,
+        results: np.ndarray,
+    ) -> None:
+        """Scatter one shard's answers and add its header to the batch's."""
+        assert handle.arena is not None
+        results[lanes] = handle.arena.results[: len(lanes)]
+        self.engines[handle.rows] += header.engines
+        shed = self.vn_shed[handle.vn_lo : handle.vn_hi]
+        shed += header.vn_shed
+        n_packets, retries, walk_failures = header.counts.tolist()
+        self.retries += retries
+        self.walk_failures += walk_failures
+        pipeline_ns, queueing_ns, _ = header.floats.tolist()
+        admitted = float(n_packets - int(shed.sum()))
+        self.reports[handle.config.shard_id] = (admitted, pipeline_ns, queueing_ns)
 
 
 class ShardedLookupService(TierControl):
@@ -373,9 +450,9 @@ class ShardedLookupService(TierControl):
         self.shards: list[_ShardHandle] = []
         for shard_id in range(n_shards):
             lo, hi = self.bounds[shard_id], self.bounds[shard_id + 1]
-            # the front end walks the last shard itself: it is posted
-            # last, once every worker has its request, and start() forks
-            # every worker before it builds this shard's engines
+            # the front end walks the last shard itself, once serve() has
+            # posted every worker its request; start() forks every
+            # worker before it builds this shard's engines
             inline = transport == "inline" or shard_id == n_shards - 1
             plan = self._scoped_plan(fault_plan, lo, hi)
             config = ShardConfig(
@@ -485,7 +562,20 @@ class ShardedLookupService(TierControl):
         async with self._lock:
             if self._in_flight:
                 await asyncio.wait(self._in_flight)
+            self._in_flight = []
             yield
+
+    def _post(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        handle: _ShardHandle,
+        message: tuple[str, object],
+    ) -> asyncio.Future:
+        """Send one shard one message; its reply is in flight until it lands."""
+        reply = loop.create_future()
+        self._in_flight.append(reply)
+        handle.post(loop, message, reply)
+        return reply
 
     async def _round(
         self, messages: list[tuple[_ShardHandle, tuple[str, object]]]
@@ -500,12 +590,7 @@ class ShardedLookupService(TierControl):
         shard has answered, so no reply is left in a pipe.
         """
         loop = asyncio.get_running_loop()
-        replies: list[asyncio.Future] = []
-        self._in_flight = replies
-        for handle, message in messages:
-            reply = loop.create_future()
-            replies.append(reply)
-            handle.post(loop, message, reply)
+        replies = [self._post(loop, handle, message) for handle, message in messages]
         if replies:
             await asyncio.wait(replies)
         return [reply.result() for reply in replies]
@@ -537,26 +622,54 @@ class ShardedLookupService(TierControl):
         start = time.perf_counter()
         batch_index = self.batches_served
         self.batches_served += 1
-        work = [(handle, handle.lanes(vnids, self.k)) for handle in self.shards]
-        work = [(handle, lanes) for handle, lanes in work if len(lanes)]
         # every lane belongs to exactly one shard, which answers it
         results = np.empty(len(addresses), dtype=np.int64)
-        traces: dict[int, ServeTrace] = {}
+        folded = _Reassembly(self)
+        replies: list[tuple[_ShardHandle, np.ndarray, asyncio.Future]] = []
         async with self._turn():
+            loop = asyncio.get_running_loop()
+            # the workers first: each has its request before the front
+            # end touches its own shard's lanes
+            work = [
+                (handle, handle.lanes(vnids, self.k))
+                for handle in self.shards
+                if handle.runtime is None
+            ]
+            work = [(handle, lanes) for handle, lanes in work if len(lanes)]
             grown = [handle for handle, lanes in work if handle.reserve(len(lanes))]
             if grown:
                 await self._round([(handle, ("arena", handle.arena)) for handle in grown])
-            replies = await self._round(
-                [
-                    (handle, ("lanes", (batch_index, handle.stage(addresses, vnids, lanes))))
-                    for handle, lanes in work
-                ]
-            )
-            for (handle, lanes), reply in zip(work, replies):
-                assert isinstance(reply, ServeTrace) and handle.arena is not None
-                traces[handle.config.shard_id] = reply
-                results[lanes] = handle.arena.results[: len(lanes)]
-        trace = self._account(traces, vnids, start)
+            for handle, lanes in work:
+                n = handle.stage(addresses, vnids, lanes)
+                replies.append(
+                    (handle, lanes, self._post(loop, handle, ("lanes", (batch_index, n))))
+                )
+            # then the front end's own shard, walked on the loop and
+            # folded at once, while the workers walk theirs
+            for handle in self.shards:
+                if handle.runtime is None:
+                    continue
+                lanes = handle.lanes(vnids, self.k)
+                if not len(lanes):
+                    continue
+                if handle.reserve(len(lanes)):
+                    # the runtime attaches the arena made from its own
+                    # config's reply shape on the spot
+                    handle.runtime.handle(("arena", handle.arena))
+                n = handle.stage(addresses, vnids, lanes)
+                reply = self._post(loop, handle, ("lanes", (batch_index, n)))
+                if reply.exception() is None:
+                    folded.fold(handle, lanes, reply.result(), results)
+                replies.append((handle, lanes, reply))
+            if replies:
+                await asyncio.wait([reply for _, _, reply in replies])
+            # errors in shard order (the workers are shards 0 … n − 2),
+            # once every shard has answered
+            for handle, lanes, reply in replies:
+                header = reply.result()
+                if handle.runtime is None:
+                    folded.fold(handle, lanes, header, results)
+        trace = self._account(folded, vnids, batch_index, start)
         self._publish(trace, batch_index)
         return results, trace
 
@@ -570,111 +683,60 @@ class ShardedLookupService(TierControl):
     # -- accounting -------------------------------------------------------
 
     def _account(
-        self, traces: dict[int, ServeTrace], vnids: np.ndarray, start: float
+        self, folded: "_Reassembly", vnids: np.ndarray, batch_index: int, start: float
     ) -> ServeTrace:
-        """Reassemble shard traces into one global-shaped ServeTrace.
+        """Build the global-shaped ServeTrace from the folded shard replies.
 
-        NV/VS: per-VN engine traces concatenate in global VN order (a
-        shard that answered nothing contributes empty traces), and VN
-        *i*'s admitted count is engine *i*'s ``n_packets``.  VM: the
-        shards' merged-engine traces fold into a single engine trace —
-        the global topology has one engine, and the power model
-        attributes by lookup share, which summing preserves — and the
-        admitted counts are a ``bincount`` of the VNIDs less the shed.
+        NV/VS: engine *i*'s row is VN *i*'s, written by the shard that
+        owns it (a shard that answered nothing leaves its rows empty),
+        and VN *i*'s admitted count is engine *i*'s ``n_packets``.  VM:
+        the shards' merged-engine rows sum into the single global
+        engine — the global topology has one engine, and the power
+        model attributes by lookup share, which summing preserves — and
+        the admitted counts are a ``bincount`` of the VNIDs less the
+        shed.  The latency is the admitted-load-weighted mean of the
+        shards' reports, and the fault labels are each answering
+        shard's scoped plan's at ``batch_index``, the labels the shard
+        itself served under.
         """
-        empty = np.array([], dtype=np.int64)
-        engine_traces: list[PipelineTrace] = []
-        vn_shed = np.zeros(self.k, dtype=np.int64)
-        retries = 0
-        walk_failures = 0
-        failed_engines: list[int] = []
-        fault_labels: list[str] = []
-        weights: list[float] = []
-        reports: list[LatencyReport] = []
-        for handle in self.shards:
-            shard_trace = traces.get(handle.config.shard_id)
-            if shard_trace is None:
-                if not self.scheme.shares_engine:
-                    engine_traces.extend(
-                        trace_from_walk(empty, empty, self.n_stages)
-                        for _ in range(handle.k_local)
-                    )
-                continue
-            # the shard's own admission and walk shedding, rebased to
-            # global VNs (empty on a nominal batch)
-            if shard_trace.vn_shed:
-                vn_shed[handle.vn_lo : handle.vn_hi] += shard_trace.vn_shed
-            retries += shard_trace.retries
-            walk_failures += shard_trace.walk_failures
-            fault_labels.extend(shard_trace.fault_labels)
-            weights.append(float(shard_trace.n_admitted))
-            reports.append(shard_trace.latency)
-            if self.scheme.shares_engine:
-                failed_engines.extend(0 for _ in shard_trace.failed_engines)
-            else:
-                failed_engines.extend(
-                    handle.vn_lo + e for e in shard_trace.failed_engines
-                )
-                engine_traces.extend(shard_trace.engine_traces)
+        engine_traces, failed_engines = decode_engines(folded.engines, self.n_stages)
         if self.scheme.shares_engine:
-            merged = [t for shard_trace in traces.values() for t in shard_trace.engine_traces]
-            engine_traces = [self._merge_engine_traces(merged)]
             offered = np.bincount(vnids, minlength=self.k)
-            vn_counts = tuple(int(c) for c in offered - vn_shed)
+            vn_counts = tuple((offered - folded.vn_shed).tolist())
         else:
-            vn_counts = tuple(t.n_packets for t in engine_traces)
-        latency = self._blend_latency(reports, weights)
+            vn_counts = tuple(trace.n_packets for trace in engine_traces)
+        served = [
+            (handle, report)
+            for handle, report in zip(self.shards, folded.reports)
+            if report is not None
+        ]
+        total = sum(weight for _, (weight, _, _) in served)
+        pipeline = queueing = 0.0
+        if total:
+            pipeline = sum(w * p for _, (w, p, _) in served) / total
+            queueing = sum(w * q for _, (w, _, q) in served) / total
+        fault_labels: list[str] = []
+        for handle, _ in served:
+            plan = handle.config.fault_plan
+            if plan is not None:
+                fault_labels.extend(plan.context_at(batch_index).labels())
         return ServeTrace(
             scheme=self.scheme,
             n_packets=len(vnids),
-            engine_traces=tuple(engine_traces),
-            latency=latency,
-            elapsed_s=time.perf_counter() - start,
-            vn_counts=vn_counts,
-            vn_shed=tuple(int(c) for c in vn_shed),
-            retries=retries,
-            walk_failures=walk_failures,
-            failed_engines=tuple(sorted(set(failed_engines))),
-            fault_labels=tuple(dict.fromkeys(fault_labels)),
-        )
-
-    def _merge_engine_traces(
-        self, traces: list[PipelineTrace]
-    ) -> PipelineTrace:
-        """Fold shard merged-engine traces into the global single engine."""
-        if not traces:
-            empty = np.array([], dtype=np.int64)
-            return trace_from_walk(empty, empty, self.n_stages)
-        return PipelineTrace(
-            total_cycles=int(sum(t.total_cycles for t in traces)),
-            accesses_per_stage=np.sum(
-                [t.accesses_per_stage for t in traces], axis=0
-            ),
-            busy_cycles_per_stage=np.sum(
-                [t.busy_cycles_per_stage for t in traces], axis=0
-            ),
-            n_packets=int(sum(t.n_packets for t in traces)),
-        )
-
-    def _blend_latency(
-        self, reports: list[LatencyReport], weights: list[float]
-    ) -> LatencyReport:
-        """Admitted-load-weighted mean of the shard latency reports."""
-        total = sum(weights)
-        if not reports or total == 0:
-            return LatencyReport(
+            engine_traces=engine_traces,
+            latency=LatencyReport(
                 scheme_label=str(self.scheme),
                 frequency_mhz=self.frequency_mhz,
-                pipeline_ns=0.0,
-                queueing_ns=0.0,
-            )
-        pipeline = sum(w * r.pipeline_ns for w, r in zip(weights, reports)) / total
-        queueing = sum(w * r.queueing_ns for w, r in zip(weights, reports)) / total
-        return LatencyReport(
-            scheme_label=str(self.scheme),
-            frequency_mhz=self.frequency_mhz,
-            pipeline_ns=pipeline,
-            queueing_ns=queueing,
+                pipeline_ns=pipeline,
+                queueing_ns=queueing,
+            ),
+            elapsed_s=time.perf_counter() - start,
+            vn_counts=vn_counts,
+            vn_shed=tuple(folded.vn_shed.tolist()),
+            retries=folded.retries,
+            walk_failures=folded.walk_failures,
+            failed_engines=failed_engines,
+            fault_labels=tuple(dict.fromkeys(fault_labels)),
         )
 
     # -- metrics ----------------------------------------------------------

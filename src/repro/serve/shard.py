@@ -18,7 +18,8 @@ calling :meth:`ShardRuntime.handle` on its event loop.
 
 The worker protocol is a strict request/reply alternation per pipe
 (the frontend holds one lock per service across each exchange, which
-sends every shard its request before it awaits the replies):
+posts every worker its request before the front end walks its own
+shard and awaits the replies):
 
 ==============================  =======================================
 request                         reply
@@ -27,9 +28,11 @@ request                         reply
                                 :func:`multiprocessing.reduction.send_handle`
                                 right after the message, is the new
                                 arena, which replaces the old one
-``("lanes", (batch, n))``       ``("ok", ServeTrace)``; the first ``n``
+``("lanes", (batch, n))``       ``("ok", ReplyHeader)``; the first ``n``
                                 arena lanes are served at batch index
-                                ``batch`` and answered in place
+                                ``batch`` and answered in place, and
+                                the batch's trace is written into the
+                                arena's :class:`ReplyHeader`
 ``("metrics", None)``           ``("ok", RegistrySnapshot)`` (shard-labeled)
 ``("reconfig", payload)``       ``("ok", None)``; payload is
                                 ``(OperatingPoint, nominal_load_fraction)``
@@ -37,27 +40,36 @@ request                         reply
 any, on failure                 ``("error", formatted traceback)``
 ==============================  =======================================
 
-A runtime in the front end's process (the last shard's, or every
-shard's with the inline transport) is handed the ``("arena",
-LaneArena)`` object itself.  Everything else crossing the
-pipe is a plain picklable value object — the lint pack's CONC003 rule
-checks the worker entry point's defaults stay picklable.
+On the pipe, a ``lanes`` request is :data:`LANES_REQUEST`'s 17 bytes
+and its ``("ok", …)`` reply is the 1-byte :data:`LANES_DONE` token,
+each sent with ``send_bytes``: the answers and the reply header are
+already in the arena, which the front end maps too.  Every other
+message, a ``lanes`` request's ``("error", traceback)`` reply included,
+is pickled.  A runtime in the front end's process (the last shard's,
+or every shard's with the inline transport) is handed the ``("arena",
+LaneArena)`` object itself.  Everything pickled on the pipe is a
+plain picklable value object — the lint pack's CONC003 rule checks the
+worker entry point's defaults stay picklable.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import pickle
+import struct
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.reduction import recv_handle
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ShardError
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import DegradationPolicy
+from repro.iplookup.pipeline import PipelineTrace
 from repro.iplookup.rib import RoutingTable
 from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import RegistrySnapshot, snapshot_registry
@@ -66,11 +78,17 @@ from repro.serve.service import LookupService, ServeTrace
 from repro.virt.schemes import Scheme
 
 __all__ = [
+    "LANES_DONE",
+    "LANES_REQUEST",
+    "LANES_TAG",
     "LaneArena",
+    "ReplyHeader",
+    "ReplyShape",
     "ShardConfig",
     "ShardBatchRequest",
     "ShardBatchResult",
     "ShardRuntime",
+    "decode_engines",
     "shard_worker",
 ]
 
@@ -95,6 +113,14 @@ class ShardConfig:
     fault_plan: FaultPlan | None = None
     policy: DegradationPolicy | None = None
     metrics: bool = True
+
+    @property
+    def reply_shape(self) -> "ReplyShape":
+        """The shape of this shard's :class:`ReplyHeader`."""
+        k_local = len(self.tables)
+        return ReplyShape(
+            self.scheme.engines_required(k_local), self.n_stages, k_local
+        )
 
 
 @dataclass(frozen=True)
@@ -130,38 +156,150 @@ LANE_BYTES = 20
 #: growing batches does not map a new arena for each one
 ARENA_GRAIN = 4096
 
+#: a ``("lanes", (batch, n))`` request on the pipe: a tag byte, which
+#: no pickle starts with, then the batch index and the lane count
+LANES_REQUEST = struct.Struct("<cqq")
+LANES_TAG = b"L"
 
-class LaneArena:
-    """One shard's lane buffers, mapped by the front end and its worker.
+#: a worker's reply to a served ``lanes`` request: the answers and the
+#: :class:`ReplyHeader` are in the arena
+LANES_DONE = b"D"
 
-    An anonymous ``memfd`` holds ``capacity`` lanes as three arrays:
-    ``results`` (int64), ``vnids`` (int64, shard-local) and
-    ``addresses`` (uint32).  It never appears under ``/dev/shm`` and
-    needs no resource tracker: the memory goes when the last
-    descriptor and mapping of it close.  The front end creates it
-    (:meth:`create`) and sends the descriptor to the worker, which
-    maps the same pages (``LaneArena(fd)``).  An arena never grows in
-    place; a larger batch gets a new one.
+#: columns of a :class:`ReplyHeader` engine row before the stage arrays
+ENGINE_CYCLES, ENGINE_PACKETS, ENGINE_FAILED = 0, 1, 2
+ENGINE_FIXED = 3
+
+
+class ReplyShape(NamedTuple):
+    """What a shard's :class:`ReplyHeader` holds: engines, stages, VNs."""
+
+    n_engines: int
+    n_stages: int
+    k_local: int
+
+    @property
+    def row_words(self) -> int:
+        """int64 words of one engine row: the fixed columns, then the
+        per-stage accesses and busy cycles."""
+        return ENGINE_FIXED + 2 * self.n_stages
+
+    @property
+    def words(self) -> int:
+        """int64 words of the whole header."""
+        return 6 + self.n_engines * self.row_words + self.k_local
+
+
+class ReplyHeader:
+    """A shard's trace of its last ``lanes`` batch, in its lane arena.
+
+    Fixed-shape views of the arena's first :attr:`ReplyShape.words`
+    int64 words, so the reply needs no pickle and the front end folds
+    it array by array:
+
+    * ``counts`` — ``n_packets``, ``retries`` and ``walk_failures``;
+    * ``floats`` — ``pipeline_ns``, ``queueing_ns`` and ``elapsed_s``
+      (float64);
+    * ``engines`` — one row per engine: total cycles, packets walked, a
+      failed flag (the engine shed its share past the retry budget),
+      then the per-stage accesses and the per-stage busy cycles;
+    * ``vn_shed`` — lookups shed per local VN (zeros on a nominal
+      batch).
+
+    The fault labels are not carried: the front end recomputes them
+    from the shard's own scoped fault plan.
     """
 
-    def __init__(self, fd: int):
+    def __init__(self, buffer: mmap.mmap, shape: ReplyShape):
+        self.shape = shape
+        words = np.frombuffer(buffer, np.int64, shape.words, 0)
+        end = 6 + shape.n_engines * shape.row_words
+        self.counts = words[:3]
+        self.floats = words[3:6].view(np.float64)
+        self.engines = words[6:end].reshape(shape.n_engines, shape.row_words)
+        self.vn_shed = words[end:]
+
+    @property
+    def n_packets(self) -> int:
+        return int(self.counts[0])
+
+    def write(self, trace: ServeTrace) -> None:
+        """Store one served batch's trace (the shard's side)."""
+        self.counts[:] = (trace.n_packets, trace.retries, trace.walk_failures)
+        latency = trace.latency
+        self.floats[:] = (latency.pipeline_ns, latency.queueing_ns, trace.elapsed_s)
+        stages = self.shape.n_stages
+        for row, engine in zip(self.engines, trace.engine_traces):
+            row[ENGINE_CYCLES] = engine.total_cycles
+            row[ENGINE_PACKETS] = engine.n_packets
+            row[ENGINE_FAILED] = 0
+            row[ENGINE_FIXED : ENGINE_FIXED + stages] = engine.accesses_per_stage
+            row[ENGINE_FIXED + stages :] = engine.busy_cycles_per_stage
+        for engine in trace.failed_engines:
+            self.engines[engine, ENGINE_FAILED] = 1
+        self.vn_shed[:] = trace.vn_shed or 0
+
+    def release(self) -> None:
+        """Drop the views, so the arena's mapping can close."""
+        del self.counts, self.floats, self.engines, self.vn_shed
+
+
+def decode_engines(
+    engines: np.ndarray, n_stages: int
+) -> tuple[tuple[PipelineTrace, ...], tuple[int, ...]]:
+    """The engine traces and the failed engines of rows laid out as
+    :attr:`ReplyHeader.engines` — one shard's, or several shards'
+    added together.  The traces' stage arrays are views of ``engines``.
+    """
+    cycles = engines[:, ENGINE_CYCLES].tolist()
+    packets = engines[:, ENGINE_PACKETS].tolist()
+    traces = tuple(
+        PipelineTrace(
+            total_cycles=cycles[e],
+            accesses_per_stage=row[ENGINE_FIXED : ENGINE_FIXED + n_stages],
+            busy_cycles_per_stage=row[ENGINE_FIXED + n_stages :],
+            n_packets=packets[e],
+        )
+        for e, row in enumerate(engines)
+    )
+    failed = tuple(np.flatnonzero(engines[:, ENGINE_FAILED]).tolist())
+    return traces, failed
+
+
+class LaneArena:
+    """One shard's lane buffers and reply, mapped by the front end and its worker.
+
+    An anonymous ``memfd`` holds the shard's :class:`ReplyHeader`, then
+    ``capacity`` lanes as three arrays: ``results`` (int64), ``vnids``
+    (int64, shard-local) and ``addresses`` (uint32).  It never appears
+    under ``/dev/shm`` and needs no resource tracker: the memory goes
+    when the last descriptor and mapping of it close.  The front end
+    creates it (:meth:`create`) and sends the descriptor to the worker,
+    which maps the same pages (``LaneArena(fd, shape)``).  An arena
+    never grows in place; a larger batch gets a new one.
+    """
+
+    def __init__(self, fd: int, shape: ReplyShape):
         size = os.fstat(fd).st_size
+        head = 8 * shape.words
         self.fd = fd
-        self.capacity = size // LANE_BYTES
+        self.capacity = (size - head) // LANE_BYTES
         self._map: mmap.mmap | None = mmap.mmap(fd, size)
         cap = self.capacity
-        self.results = np.frombuffer(self._map, np.int64, cap, 0)
-        self.vnids = np.frombuffer(self._map, np.int64, cap, 8 * cap)
-        self.addresses = np.frombuffer(self._map, np.uint32, cap, 16 * cap)
+        self.header = ReplyHeader(self._map, shape)
+        self.results = np.frombuffer(self._map, np.int64, cap, head)
+        self.vnids = np.frombuffer(self._map, np.int64, cap, head + 8 * cap)
+        self.addresses = np.frombuffer(self._map, np.uint32, cap, head + 16 * cap)
 
     @classmethod
-    def create(cls, lanes: int, name: str = "repro-lanes") -> "LaneArena":
+    def create(
+        cls, lanes: int, shape: ReplyShape, name: str = "repro-lanes"
+    ) -> "LaneArena":
         """A new arena for at least ``lanes`` lanes (at least one grain)."""
         capacity = -(-max(lanes, 1) // ARENA_GRAIN) * ARENA_GRAIN
         fd = os.memfd_create(name, os.MFD_CLOEXEC)
         try:
-            os.ftruncate(fd, capacity * LANE_BYTES)
-            return cls(fd)
+            os.ftruncate(fd, 8 * shape.words + capacity * LANE_BYTES)
+            return cls(fd, shape)
         except BaseException:
             os.close(fd)
             raise
@@ -180,10 +318,12 @@ class LaneArena:
         """Unmap the arena and close its descriptor (idempotent).
 
         Every view of the arena must be gone by then: the map cannot
-        close under a live view.
+        close under a live view.  The header's own views go here, even
+        while a stale reply still refers to the header.
         """
         if self._map is None:
             return
+        self.header.release()
         del self.results, self.vnids, self.addresses
         self._map.close()
         self._map = None
@@ -243,13 +383,15 @@ class ShardRuntime:
 
         The lanes go through :meth:`serve` like any other sub-batch
         (so its ``LookupService`` validates them); the answers are
-        copied into the arena's ``results`` and the trace returned.
+        copied into the arena's ``results``, the trace is written into
+        its :class:`ReplyHeader`, and returned.
         """
         if self.arena is None:
             raise ShardError("no lane arena attached")
         addresses, vnids, answers = self.arena.lanes(n)
         outcome = self.serve(ShardBatchRequest(batch_index, addresses, vnids))
         answers[:] = outcome.results
+        self.arena.header.write(outcome.trace)
         return outcome.trace
 
     def snapshot(self) -> RegistrySnapshot:
@@ -263,9 +405,16 @@ class ShardRuntime:
             if op == "lanes":
                 assert isinstance(payload, tuple) and len(payload) == 2
                 batch_index, n = payload
-                return ("ok", self.serve_lanes(batch_index, n))
+                self.serve_lanes(batch_index, n)
+                assert self.arena is not None
+                return ("ok", self.arena.header)
             if op == "arena":
                 assert isinstance(payload, LaneArena)
+                if payload.header.shape != self.config.reply_shape:
+                    raise ShardError(
+                        f"the arena's reply header {payload.header.shape} does "
+                        f"not fit the shard's {self.config.reply_shape}"
+                    )
                 # serve from the new arena; the one it replaces is done
                 if self.arena is not None and self.arena is not payload:
                     self.arena.close()
@@ -297,7 +446,9 @@ def shard_worker(
     would wait on it forever.  Then builds the runtime (freezing the
     shard's engines once) and answers the strict request/reply
     protocol documented in the module docstring; an ``"arena"``
-    request's descriptor is taken off the pipe right after it.  Any
+    request's descriptor is taken off the pipe right after it, and a
+    served ``lanes`` request is answered with the :data:`LANES_DONE`
+    token.  Any
     per-request failure is returned as an ``("error", traceback)``
     reply — the worker itself stays up, so one poisoned batch cannot
     take a shard's tables with it.
@@ -307,10 +458,18 @@ def shard_worker(
     runtime = ShardRuntime(config)
     try:
         while True:
-            message = conn.recv()
-            if message[0] == "arena":
-                message = ("arena", LaneArena(recv_handle(conn)))
-            reply = runtime.handle(message)
+            data = conn.recv_bytes()
+            if data[:1] == LANES_TAG:
+                _, batch_index, n = LANES_REQUEST.unpack(data)
+                reply = runtime.handle(("lanes", (batch_index, n)))
+                if reply[0] == "ok":
+                    conn.send_bytes(LANES_DONE)
+                    continue
+            else:
+                message = pickle.loads(data)
+                if message[0] == "arena":
+                    message = ("arena", LaneArena(recv_handle(conn), config.reply_shape))
+                reply = runtime.handle(message)
             conn.send(reply)
             if reply[0] == "bye":
                 break

@@ -86,6 +86,7 @@ BLOCKING_METHODS = frozenset({
     "write_text",
     "write_bytes",
     "recv",
+    "recv_bytes",
     "walk_batch",
 })
 

@@ -3,8 +3,8 @@
 Seeds the two failure modes specific to the asyncio-frontend /
 process-shard architecture: an ``async def`` frontend that talks to
 its worker pipe and walks the trie *on the event loop* (a pipe
-``.recv()`` and the CPU-bound ``.walk_batch()`` each stall every
-connection), and a ``Process(target=...)`` worker whose default
+``.recv()`` or ``.recv_bytes()`` and the CPU-bound ``.walk_batch()``
+each stall every connection), and a ``Process(target=...)`` worker whose default
 argument cannot cross the pickle boundary into the child.
 """
 
@@ -35,3 +35,9 @@ async def serve_batch(conn, engine, addresses):
     reply = conn.recv()
     results = engine.walk_batch(addresses)
     return reply, results
+
+
+async def await_token(conn, request):
+    """CONC001: a raw-bytes reply read on the loop blocks it as well."""
+    conn.send_bytes(request)
+    return conn.recv_bytes()

@@ -43,9 +43,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShardError
-from repro.faults.injectors import BramWriteStorm, EngineStall
+from repro.faults.injectors import BramWriteStorm, EngineStall, TransientWalkFailure
 from repro.faults.plan import FaultPlan, FaultWindow
-from repro.faults.policy import SHED_RESULT
+from repro.faults.policy import SHED_RESULT, DegradationPolicy
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
 from repro.serve.shard import ARENA_GRAIN
 from repro.obs.export import parse_prometheus_text, render_prometheus
@@ -132,11 +132,38 @@ class TestParityWithSyncService:
             run(svc.serve(addresses, vnids))
 
 
-#: bytes a sub-batch's request and reply may take on the pipe, whatever
-#: its size: the lanes travel in the shard's arena, so this is the
-#: message tuples, the trace's per-engine activity, its latency report
-#: and the pickle framing
-PIPE_OVERHEAD_BYTES = 4096
+#: wall-time bound on a process-transport test that must not hang
+NO_HANG_S = 60.0
+
+
+def run_bounded(coro):
+    """``asyncio.run`` on a daemon thread that fails the test after
+    :data:`NO_HANG_S` instead of hanging it: a wedged exchange would
+    also wedge the service's shutdown, so no timeout inside the event
+    loop could end it."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = asyncio.run(coro)
+        except BaseException as error:  # re-raised on the test's thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(NO_HANG_S)
+    assert not thread.is_alive(), f"the exchange hung for {NO_HANG_S:.0f} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+#: bytes a sub-batch's ``lanes`` request and its reply take on the
+#: worker's pipe, whatever the batch's size: a 4-byte length prefix
+#: each, then the 17-byte ``(tag, batch, n)`` request and the 1-byte
+#: done token.  The lanes, the answers and the trace travel in the arena.
+LANES_REQUEST_WIRE_BYTES = 4 + 17
+LANES_REPLY_WIRE_BYTES = 4 + 1
 
 
 class TestPipePayload:
@@ -145,46 +172,58 @@ class TestPipePayload:
     def test_a_sub_batch_crosses_the_pipe_in_bytes_independent_of_n(
         self, tables, scheme, n, monkeypatch
     ):
-        """``(batch, n)`` out and the shard's trace back: no per-lookup
-        byte crosses the pipe."""
-        from multiprocessing.reduction import ForkingPickler
+        """``(batch, n)`` out and a token back, counted on the worker's
+        real pipe: no per-lookup byte and no trace crosses it."""
+        from multiprocessing.connection import Connection
 
-        from repro.serve import frontend
+        wire = {"sent": 0, "received": 0}
+        send, recv = Connection._send, Connection._recv
 
-        sizes = []
-        round_trip = frontend.ShardedLookupService._round
+        def counted_send(conn, buf, *args):
+            wire["sent"] += len(buf)
+            return send(conn, buf, *args)
 
-        async def measured(svc, messages):
-            payloads = await round_trip(svc, messages)
-            for (_, message), payload in zip(messages, payloads):
-                if message[0] == "lanes":
-                    sent = ForkingPickler.dumps(message)
-                    received = ForkingPickler.dumps(("ok", payload))
-                    sizes.append((message[1][1], len(sent) + len(received)))
-            return payloads
+        def counted_recv(conn, size, *args):
+            data = recv(conn, size, *args)
+            wire["received"] += len(data.getvalue())
+            return data
 
-        monkeypatch.setattr(frontend.ShardedLookupService, "_round", measured)
         addresses, vnids = _batch(n)
 
         async def go():
-            async with _service(tables, scheme) as svc:
-                return await svc.serve(addresses, vnids)
+            async with _service(tables, scheme, transport="process") as svc:
+                await svc.serve(addresses, vnids)  # the arena grows here
+                worker_lanes = int(np.count_nonzero(vnids < svc.shards[1].vn_lo))
+                # counted in the front end's process only: the worker
+                # was forked before the patch
+                monkeypatch.setattr(Connection, "_send", counted_send)
+                monkeypatch.setattr(Connection, "_recv", counted_recv)
+                served = await svc.serve(addresses, vnids)
+                monkeypatch.undo()
+                return served, worker_lanes
 
-        results, _ = run(go())
+        (results, _), worker_lanes = run_bounded(go())
         assert np.array_equal(results, LookupService(tables, scheme).serve(addresses, vnids)[0])
-        assert len(sizes) == 2
-        for lanes, pickled in sizes:
-            assert lanes > n // 3
-            assert pickled <= PIPE_OVERHEAD_BYTES, (lanes, pickled)
+        assert worker_lanes > n // 3
+        assert wire == {
+            "sent": LANES_REQUEST_WIRE_BYTES,
+            "received": LANES_REPLY_WIRE_BYTES,
+        }
 
 
-def _fault(kind, scheme):
-    """One injector aimed at shard 1's first engine (VM has only engine 0)."""
-    engine = 0 if scheme is Scheme.VM else 2
+def _fault(kind, scheme, shard=1):
+    """One injector aimed at the first engine of ``shard`` (of 2): the
+    front end's own shard by default, a worker's for shard 0 with the
+    process transport.  VM has only engine 0, which every shard's
+    merged engine is.  ``"transient"`` fails that engine's walks past
+    the retry budget."""
+    engine = 0 if scheme is Scheme.VM else 2 * shard
     if kind == "offline":
         return EngineStall(engine, 0.0)
     if kind == "half":
         return EngineStall(engine, 0.5)
+    if kind == "transient":
+        return TransientWalkFailure(engine, DegradationPolicy().max_retries + 1)
     return BramWriteStorm(0.5, 0.3)
 
 
@@ -194,6 +233,7 @@ class TestFaultParity:
 
     @staticmethod
     def _compare(tables, scheme, rho, fault, transport):
+        """Serve one faulted batch through both tiers; returns both traces."""
         plan = FaultPlan((FaultWindow(0, 10, fault),))
         addresses, vnids = _batch(8000)
 
@@ -207,7 +247,7 @@ class TestFaultParity:
             ) as svc:
                 return await svc.serve(addresses, vnids)
 
-        results, trace = run(go())
+        results, trace = run_bounded(go())
         sync = LookupService(
             tables,
             scheme,
@@ -220,6 +260,7 @@ class TestFaultParity:
         assert np.array_equal(results, expected)
         assert trace.vn_shed == expected_trace.vn_shed
         assert trace.n_admitted == expected_trace.n_admitted
+        return trace, expected_trace
 
     @pytest.mark.parametrize("kind", ["offline", "half", "storm"])
     @pytest.mark.parametrize("rho", [0.5, 0.8])
@@ -229,6 +270,25 @@ class TestFaultParity:
 
     def test_process_sheds_like_sync(self, tables):
         self._compare(tables, Scheme.VS, 0.8, _fault("offline", Scheme.VS), "process")
+
+    @pytest.mark.parametrize("kind", ["offline", "half", "storm", "transient"])
+    @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
+    def test_a_faulted_worker_sheds_like_sync(self, tables, scheme, kind):
+        """Aimed at shard 0, a worker's: its degraded reply crosses the
+        pipe and the arena.  Shard 0's local engines are the global
+        ones, so the labels match the sync tier's too."""
+        trace, expected = self._compare(
+            tables, scheme, 0.8, _fault(kind, scheme, shard=0), "process"
+        )
+        assert trace.n_shed or kind == "storm"
+        assert trace.fault_labels == expected.fault_labels
+        assert trace.failed_engines == expected.failed_engines
+        # VM: the fault reaches both shards' merged engines, each retrying
+        shards = 2 if scheme is Scheme.VM else 1
+        assert trace.retries == shards * expected.retries
+        assert trace.walk_failures == shards * expected.walk_failures
+        assert trace.latency.pipeline_ns == pytest.approx(expected.latency.pipeline_ns)
+        assert trace.latency.queueing_ns == pytest.approx(expected.latency.queueing_ns)
 
 
 class TestSaturationShedding:
@@ -374,32 +434,6 @@ class TestMergedMetricsConsistency:
         frontend = snapshots[-1]
         assert frontend.counter_total("repro_frontend_batches_total") == 1
         assert frontend.counter_total("repro_frontend_lookups_total") == 1000
-
-
-#: wall-time bound on a process-transport test that must not hang
-NO_HANG_S = 60.0
-
-
-def run_bounded(coro):
-    """``asyncio.run`` on a daemon thread that fails the test after
-    :data:`NO_HANG_S` instead of hanging it: a wedged exchange would
-    also wedge the service's shutdown, so no timeout inside the event
-    loop could end it."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["result"] = asyncio.run(coro)
-        except BaseException as error:  # re-raised on the test's thread
-            outcome["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(NO_HANG_S)
-    assert not thread.is_alive(), f"the exchange hung for {NO_HANG_S:.0f} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
 
 
 class TestProcessExchange:
@@ -743,3 +777,44 @@ class TestFrontEndShard:
 
         results, _ = run_bounded(go())
         assert np.array_equal(results, LookupService(tables, Scheme.VS).serve(addresses, vnids)[0])
+
+
+class TestReassembly:
+    """The front end folds each shard's arena header into fresh arrays:
+    what one ``serve()`` returns aliases no arena and no later batch."""
+
+    @pytest.mark.parametrize("transport", ["process", "inline"])
+    @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
+    def test_a_later_batch_leaves_an_earlier_answer_unchanged(self, tables, scheme, transport):
+        import copy
+
+        first, second = _batch(4000, seed=60), _batch(4000, seed=61)
+
+        async def go():
+            async with _service(tables, scheme, transport=transport) as svc:
+                results, trace = await svc.serve(*first)
+                kept = results.copy(), copy.deepcopy(trace)
+                later = await svc.serve(*second)
+                for handle in svc.shards:
+                    assert not np.shares_memory(results, handle.arena.results)
+                return (results, trace), kept, later
+
+        (results, trace), (kept_results, kept_trace), (later_results, _) = run_bounded(go())
+        assert not np.array_equal(later_results, results)
+        assert np.array_equal(results, kept_results)
+        assert trace.vn_counts == kept_trace.vn_counts
+        assert trace.vn_shed == kept_trace.vn_shed
+        assert trace.latency == kept_trace.latency
+        assert len(trace.engine_traces) == len(kept_trace.engine_traces)
+        for engine, kept in zip(trace.engine_traces, kept_trace.engine_traces):
+            assert engine.total_cycles == kept.total_cycles
+            assert engine.n_packets == kept.n_packets
+            assert np.array_equal(engine.accesses_per_stage, kept.accesses_per_stage)
+            assert np.array_equal(engine.busy_cycles_per_stage, kept.busy_cycles_per_stage)
+        sync = _sync_reference(tables, scheme)
+        expected, expected_trace = sync.serve(*first)
+        assert np.array_equal(results, expected)
+        assert trace.vn_counts == expected_trace.vn_counts
+        if scheme is not Scheme.VM:  # a VM shard's merged trie is its own
+            for engine, ref in zip(trace.engine_traces, expected_trace.engine_traces):
+                assert np.array_equal(engine.accesses_per_stage, ref.accesses_per_stage)

@@ -479,6 +479,24 @@ class TestConcurrencyPack:
         assert any(".recv()" in f.message for f in report.findings)
         assert any(".walk_batch()" in f.message for f in report.findings)
 
+    def test_conc001_pipe_recv_bytes_blocks_the_loop(self, tmp_path):
+        report = lint_fixture(
+            tmp_path,
+            {
+                "src/pkg/frontend.py": """
+                    def read_token(conn):
+                        return conn.recv_bytes()
+
+                    async def exchange(conn, request):
+                        conn.send_bytes(request)
+                        return read_token(conn)
+                    """
+            },
+            ["CONC001"],
+        )
+        assert rules_fired(report) == ["CONC001"]
+        assert ".recv_bytes()" in report.findings[0].message
+
     def test_conc001_executor_offload_stays_quiet(self, tmp_path):
         report = lint_fixture(
             tmp_path,

@@ -1,6 +1,7 @@
-"""Shard worker runtime, its reply's pickled form and fault-plan scoping
-(repro.serve.shard)."""
+"""Shard worker runtime, its reply header, the trace's pickled form and
+fault-plan scoping (repro.serve.shard)."""
 
+import os
 import threading
 from dataclasses import fields
 from multiprocessing.reduction import ForkingPickler
@@ -10,10 +11,17 @@ import pytest
 
 from repro.faults.injectors import BramWriteStorm, EngineStall, TransientWalkFailure
 from repro.faults.plan import FaultPlan, FaultWindow
+from repro.faults.policy import DegradationPolicy
 from repro.iplookup.pipeline import PipelineTrace
 from repro.iplookup.synth import SyntheticTableConfig, generate_virtual_tables
 from repro.serve.service import ServeTrace
-from repro.serve.shard import LaneArena, ShardBatchRequest, ShardConfig, ShardRuntime
+from repro.serve.shard import (
+    LaneArena,
+    ShardBatchRequest,
+    ShardConfig,
+    ShardRuntime,
+    decode_engines,
+)
 from repro.virt.queueing import md1_wait_ns
 from repro.virt.schemes import Scheme
 
@@ -109,13 +117,13 @@ class TestShardRuntime:
         runtime = ShardRuntime(_config(tables, 0, 2))
         request = _request(2)
         n = len(request.addresses)
-        arena = LaneArena.create(n)
+        arena = LaneArena.create(n, runtime.config.reply_shape)
         try:
             assert runtime.handle(("arena", arena)) == ("ok", None)
             arena.addresses[:n] = request.addresses
             arena.vnids[:n] = request.vnids
-            op, trace = runtime.handle(("lanes", (0, n)))
-            assert op == "ok" and trace.n_packets == n
+            op, header = runtime.handle(("lanes", (0, n)))
+            assert op == "ok" and header is arena.header and header.n_packets == n
             assert np.array_equal(arena.results[:n], runtime.serve(request).results)
             op, snapshot = runtime.handle(("metrics", None))
             assert op == "ok" and snapshot.shard == "0"
@@ -129,7 +137,7 @@ class TestShardRuntime:
         runtime = ShardRuntime(_config(tables, 0, 2))
         op, message = runtime.handle(("lanes", (0, 3)))
         assert op == "error" and "no lane arena" in message
-        arena = LaneArena.create(3)
+        arena = LaneArena.create(3, runtime.config.reply_shape)
         try:
             runtime.handle(("arena", arena))
             arena.addresses[:3] = 0
@@ -139,6 +147,77 @@ class TestShardRuntime:
             op, message = runtime.handle(("lanes", (0, arena.capacity + 1)))
             assert op == "error" and "do not fit" in message
         finally:
+            arena.close()
+
+    def test_refuses_an_arena_whose_header_does_not_fit(self, tables):
+        runtime = ShardRuntime(_config(tables, 0, 2))
+        engines, stages, k_local = runtime.config.reply_shape
+        arena = LaneArena.create(3, type(runtime.config.reply_shape)(engines, stages + 1, k_local))
+        try:
+            op, message = runtime.handle(("arena", arena))
+            assert op == "error" and "does not fit" in message
+            assert runtime.arena is None
+        finally:
+            arena.close()
+
+
+def _header_plan(scheme):
+    """Engine 0 at half capacity and, past the retry budget, failing walks
+    on the last engine: a batch-0 fault that sheds, retries and fails."""
+    last = 0 if scheme is Scheme.VM else 1
+    budget = DegradationPolicy().max_retries
+    return FaultPlan(
+        (
+            FaultWindow(0, 1, EngineStall(0, 0.5)),
+            FaultWindow(0, 1, TransientWalkFailure(last, budget + 1)),
+        )
+    )
+
+
+def _assert_header_matches(header, trace):
+    """Every field the header carries equals the trace's (the views it
+    takes die with this frame, so the arena can close after)."""
+    assert header.counts.tolist() == [trace.n_packets, trace.retries, trace.walk_failures]
+    assert header.floats.tolist() == [
+        trace.latency.pipeline_ns,
+        trace.latency.queueing_ns,
+        trace.elapsed_s,
+    ]
+    engine_traces, failed = decode_engines(header.engines, header.shape.n_stages)
+    assert len(engine_traces) == len(trace.engine_traces)
+    for copy, original in zip(engine_traces, trace.engine_traces):
+        _assert_traces_equal(copy, original)
+    assert failed == trace.failed_engines
+    assert tuple(header.vn_shed.tolist()) == (trace.vn_shed or (0,) * header.shape.k_local)
+
+
+class TestReplyHeader:
+    """A ``lanes`` batch's trace crosses in its arena's fixed-shape header:
+    what the shard writes and a second mapping of the arena reads back
+    equals the shard's ServeTrace field by field."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
+    def test_header_matches_the_shard_trace(self, tables, scheme):
+        plan = _header_plan(scheme)
+        runtime = ShardRuntime(_config(tables, 0, 2, scheme=scheme, fault_plan=plan))
+        shape = runtime.config.reply_shape
+        n = 400
+        arena = LaneArena.create(n, shape)
+        reader = LaneArena(os.dup(arena.fd), shape)  # the front end's mapping
+        try:
+            assert runtime.handle(("arena", arena)) == ("ok", None)
+            for batch_index in (0, 1):  # degraded, then nominal
+                request = _request(2, n=n, batch_index=batch_index)
+                arena.addresses[:n] = request.addresses
+                arena.vnids[:n] = request.vnids
+                trace = runtime.serve_lanes(batch_index, n)
+                if batch_index == 0:
+                    assert trace.n_shed and trace.retries and trace.failed_engines
+                _assert_header_matches(reader.header, trace)
+                # the labels are not carried: the front end recomputes them
+                assert plan.context_at(batch_index).labels() == trace.fault_labels
+        finally:
+            reader.close()
             arena.close()
 
 
@@ -159,8 +238,9 @@ def _assert_traces_equal(copy, original):
 
 
 class TestReplyPickling:
-    """A shard's reply, its ServeTrace, crosses the pipe pickled: the
-    copy must equal the original, with int64 arrays a caller may write."""
+    """A ServeTrace still pickles with the default reducers (the serving
+    benchmark's shard replay pickles it): the copy must equal the
+    original, with int64 arrays a caller may write."""
 
     @pytest.mark.parametrize("scheme", [Scheme.NV, Scheme.VS, Scheme.VM])
     def test_serve_trace_round_trips(self, tables, scheme):
